@@ -357,8 +357,9 @@ impl ApiSession {
         }
         self.writer.flush()?;
         let (status, content_length) = read_response_head(&mut self.reader)?;
-        let len = content_length
-            .ok_or_else(|| ClientError::Protocol("keep-alive response without content-length".into()))?;
+        let len = content_length.ok_or_else(|| {
+            ClientError::Protocol("keep-alive response without content-length".into())
+        })?;
         let mut buf = vec![0u8; len];
         self.reader.read_exact(&mut buf)?;
         Ok((status, buf))

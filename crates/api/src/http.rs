@@ -196,7 +196,9 @@ fn parse_request_line(request_line: &str) -> Result<RequestLine, HttpError> {
         .next()
         .ok_or_else(|| HttpError::BadRequest("missing HTTP version".into()))?;
     if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::BadRequest(format!("unsupported version {version}")));
+        return Err(HttpError::BadRequest(format!(
+            "unsupported version {version}"
+        )));
     }
     let (path_raw, query_raw) = match target.split_once('?') {
         Some((p, q)) => (p, q),
@@ -231,9 +233,7 @@ fn parse_header_line(hl: &str, headers: &mut Headers) -> Result<(), HttpError> {
         // `Connection` is a comma-separated token list, and a close
         // request is sticky: a later `keep-alive` (or a repeated
         // header) must not resurrect the connection.
-        headers.connection_close |= v
-            .split(',')
-            .any(|t| t.trim().eq_ignore_ascii_case("close"));
+        headers.connection_close |= v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"));
     }
     Ok(())
 }
@@ -242,7 +242,9 @@ fn parse_header_line(hl: &str, headers: &mut Headers) -> Result<(), HttpError> {
 fn check_body_length(headers: &Headers) -> Result<usize, HttpError> {
     let len = headers.content_length.unwrap_or(0);
     if len > MAX_BODY_BYTES {
-        return Err(HttpError::BadRequest(format!("body of {len} bytes too large")));
+        return Err(HttpError::BadRequest(format!(
+            "body of {len} bytes too large"
+        )));
     }
     Ok(len as usize)
 }
@@ -415,9 +417,7 @@ impl RequestParser {
                         // line that can no longer complete under
                         // budget is rejected here without waiting).
                         if self.buf.len() - self.pos > MAX_HEAD_BYTES {
-                            return Err(HttpError::BadRequest(
-                                "header section too large".into(),
-                            ));
+                            return Err(HttpError::BadRequest("header section too large".into()));
                         }
                         return Ok(None);
                     };
@@ -446,9 +446,7 @@ impl RequestParser {
                             return Err(HttpError::ConnectionClosed);
                         }
                         if *head_bytes + (self.buf.len() - self.pos) > MAX_HEAD_BYTES {
-                            return Err(HttpError::BadRequest(
-                                "header section too large".into(),
-                            ));
+                            return Err(HttpError::BadRequest("header section too large".into()));
                         }
                         return Ok(None);
                     };
@@ -750,8 +748,8 @@ mod tests {
 
     #[test]
     fn parses_get_with_query() {
-        let req = parse("GET /api/v2/probes?country=DE&tag=wired HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
+        let req =
+            parse("GET /api/v2/probes?country=DE&tag=wired HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
         assert_eq!(req.method, Method::Get);
         assert_eq!(req.path, "/api/v2/probes");
         assert_eq!(req.query["country"], "DE");
@@ -915,10 +913,9 @@ mod tests {
 
     #[test]
     fn known_headers_match_case_insensitively() {
-        let req = parse(
-            "POST /x HTTP/1.1\r\nCONTENT-LENGTH: 2\r\nX-Custom-Header: ignored\r\n\r\nhi",
-        )
-        .unwrap();
+        let req =
+            parse("POST /x HTTP/1.1\r\nCONTENT-LENGTH: 2\r\nX-Custom-Header: ignored\r\n\r\nhi")
+                .unwrap();
         assert_eq!(req.headers.content_length, Some(2));
         assert_eq!(req.body, b"hi");
         let req = parse("GET / HTTP/1.1\r\nConnection: CLOSE\r\n\r\n").unwrap();
@@ -937,10 +934,8 @@ mod tests {
         let req = parse("GET / HTTP/1.1\r\nConnection: te , Close\r\n\r\n").unwrap();
         assert!(!req.keep_alive());
         // A later keep-alive must not override an earlier close.
-        let req = parse(
-            "GET / HTTP/1.1\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n",
-        )
-        .unwrap();
+        let req =
+            parse("GET / HTTP/1.1\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n").unwrap();
         assert!(!req.keep_alive());
         // Substrings of close are not close.
         let req = parse("GET / HTTP/1.1\r\nConnection: closed\r\n\r\n").unwrap();
@@ -1034,7 +1029,8 @@ mod tests {
 
     #[test]
     fn incremental_parser_handles_pipelined_requests() {
-        let raw = b"GET /a HTTP/1.1\r\nHost: t\r\n\r\nPOST /b HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi";
+        let raw =
+            b"GET /a HTTP/1.1\r\nHost: t\r\n\r\nPOST /b HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi";
         let mut p = RequestParser::new();
         // Feed a byte at a time; collect both requests.
         let mut got = Vec::new();
@@ -1110,6 +1106,9 @@ mod tests {
         let b = read_request(&mut reader).unwrap();
         assert_eq!(a.path, "/a");
         assert_eq!(b.path, "/b");
-        assert!(matches!(read_request(&mut reader), Err(HttpError::ConnectionClosed)));
+        assert!(matches!(
+            read_request(&mut reader),
+            Err(HttpError::ConnectionClosed)
+        ));
     }
 }

@@ -210,7 +210,11 @@ pub(crate) fn spawn(
     for r in 0..reactors {
         let shared = Arc::clone(&shared);
         let tx = job_tx.clone();
-        let listener = if r == 0 { Some(listener.try_clone()?) } else { None };
+        let listener = if r == 0 {
+            Some(listener.try_clone()?)
+        } else {
+            None
+        };
         threads.push(
             std::thread::Builder::new()
                 .name(format!("shears-api-reactor-{r}"))
@@ -235,9 +239,8 @@ fn compute_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
         };
         let service = Arc::clone(&shared.service);
         let req = job.req;
-        let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            service.handle(&req)
-        }));
+        let handled =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.handle(&req)));
         let (resp, panicked) = match handled {
             Ok(resp) => (resp, false),
             Err(_) => {
@@ -603,7 +606,13 @@ impl Reactor {
 
     /// One sweep step for one connection; returns whether it made
     /// progress.
-    fn sweep_conn(&mut self, slot: usize, now: Instant, cold_sweep: bool, scratch: &mut [u8]) -> bool {
+    fn sweep_conn(
+        &mut self,
+        slot: usize,
+        now: Instant,
+        cold_sweep: bool,
+        scratch: &mut [u8],
+    ) -> bool {
         let Some(conn) = &mut self.slab[slot] else {
             return false;
         };

@@ -390,11 +390,15 @@ mod tests {
         // Either refused outright, or accepted by the OS backlog and
         // never served — both manifest as an error or empty read.
         if let Ok(mut s) = TcpStream::connect(addr) {
-            s.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+            s.set_read_timeout(Some(Duration::from_millis(300)))
+                .unwrap();
             let _ = s.write_all(b"GET /api/v2/credits HTTP/1.1\r\nHost: t\r\n\r\n");
             let mut buf = [0u8; 16];
             let got = s.read(&mut buf);
-            assert!(matches!(got, Ok(0) | Err(_)), "server still serving: {got:?}");
+            assert!(
+                matches!(got, Ok(0) | Err(_)),
+                "server still serving: {got:?}"
+            );
         }
     }
 
@@ -423,7 +427,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(150));
         // This one finds the queue full: immediate 503, connection kept.
         let mut shed = TcpStream::connect(addr).unwrap();
-        shed.set_read_timeout(Some(Duration::from_millis(400))).unwrap();
+        shed.set_read_timeout(Some(Duration::from_millis(400)))
+            .unwrap();
         shed.write_all(b"GET /api/v2/credits HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
         let mut head = [0u8; 12];
@@ -604,7 +609,9 @@ mod tests {
         let idle = TcpStream::connect(addr).unwrap();
         idle.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
         let mut active = TcpStream::connect(addr).unwrap();
-        active.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+        active
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .unwrap();
         // Keep the active session busy across 4× the idle timeout.
         for _ in 0..8 {
             active
@@ -623,9 +630,11 @@ mod tests {
                 if content_length.is_none() {
                     if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
                         let head_text = String::from_utf8_lossy(&buf[..end]);
-                        let cl = head_text
-                            .lines()
-                            .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(|v| v.trim().parse::<usize>().unwrap()));
+                        let cl = head_text.lines().find_map(|l| {
+                            l.to_ascii_lowercase()
+                                .strip_prefix("content-length:")
+                                .map(|v| v.trim().parse::<usize>().unwrap())
+                        });
                         content_length = Some((end + 4, cl.unwrap_or(0)));
                     }
                 }
@@ -641,7 +650,10 @@ mod tests {
         let mut probe = [0u8; 8];
         let mut idle = idle;
         let got = idle.read(&mut probe);
-        assert!(matches!(got, Ok(0)), "idle conn not closed cleanly: {got:?}");
+        assert!(
+            matches!(got, Ok(0)),
+            "idle conn not closed cleanly: {got:?}"
+        );
         assert!(server.metrics().idle_closed >= 1);
         server.shutdown().unwrap();
     }

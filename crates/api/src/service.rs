@@ -29,15 +29,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use shears_analysis::CampaignFrame;
-use shears_atlas::journal::{frame, get_samples_wire, put_samples_wire, put_string, ByteReader, read_frame};
+use shears_atlas::journal::{
+    frame, get_samples_wire, put_samples_wire, put_string, read_frame, ByteReader,
+};
 use shears_atlas::json::{self, ObjectWriter, ToJson};
 use shears_atlas::{CreditLedger, Platform, ResultStore, RetryPolicy, RttSample};
 use shears_netsim::fault::{FaultConfig, FaultPlan};
 use shears_netsim::ping::{PingConfig, PingProber};
-use shears_netsim::TracerouteProber;
 use shears_netsim::queue::DiurnalLoad;
 use shears_netsim::stochastic::SimRng;
 use shears_netsim::SimTime;
+use shears_netsim::TracerouteProber;
 
 use crate::dto::{
     CreateMeasurementDto, CreateTracerouteDto, HopDto, MeasurementDto, MeasurementStatsDto,
@@ -263,15 +265,9 @@ impl AtlasService {
             (Method::Post, ["api", "v2", "measurements", "resume"]) => self.resume_measurements(),
             (Method::Post, ["api", "v2", "traceroutes"]) => self.run_traceroutes(req),
             (Method::Get, ["api", "v2", "measurements", id]) => self.get_measurement(id),
-            (Method::Get, ["api", "v2", "measurements", id, "results"]) => {
-                self.get_results(id)
-            }
-            (Method::Get, ["api", "v2", "measurements", id, "stats"]) => {
-                self.get_stats(id)
-            }
-            (Method::Delete, ["api", "v2", "measurements", id]) => {
-                self.delete_measurement(id)
-            }
+            (Method::Get, ["api", "v2", "measurements", id, "results"]) => self.get_results(id),
+            (Method::Get, ["api", "v2", "measurements", id, "stats"]) => self.get_stats(id),
+            (Method::Delete, ["api", "v2", "measurements", id]) => self.delete_measurement(id),
             (Method::Get, ["api", "v2", "credits"]) => {
                 Response::json(&Counters(&[("balance", self.credits())]))
             }
@@ -691,8 +687,7 @@ impl AtlasService {
                             if m.store.len() > data.store.len() {
                                 let extends = data.store.is_prefix_of(&m.store);
                                 let epoch = data.epoch + 1;
-                                let generation =
-                                    data.generation + u64::from(!extends);
+                                let generation = data.generation + u64::from(!extends);
                                 *data = m;
                                 data.epoch = epoch;
                                 data.generation = generation;
@@ -1072,7 +1067,12 @@ mod tests {
             "/api/v2/measurements",
             r#"{"target_region": 9, "rounds": 2, "probe_limit": 10}"#,
         ));
-        assert_eq!(create.status, 201, "{:?}", String::from_utf8_lossy(&create.body));
+        assert_eq!(
+            create.status,
+            201,
+            "{:?}",
+            String::from_utf8_lossy(&create.body)
+        );
         let m: MeasurementDto = json::from_slice(&create.body).unwrap();
         assert_eq!(m.target_region, 9);
         assert!(m.results > 0);
@@ -1081,10 +1081,7 @@ mod tests {
         let fetch = svc.handle(&get(&format!("/api/v2/measurements/{}", m.id), &[]));
         assert_eq!(fetch.status, 200);
 
-        let results = svc.handle(&get(
-            &format!("/api/v2/measurements/{}/results", m.id),
-            &[],
-        ));
+        let results = svc.handle(&get(&format!("/api/v2/measurements/{}/results", m.id), &[]));
         assert_eq!(results.status, 200);
         let rows: Vec<ResultDto> = json::from_slice(&results.body).unwrap();
         assert_eq!(rows.len(), m.results);
@@ -1158,10 +1155,7 @@ mod tests {
                 .status,
             400
         );
-        assert_eq!(
-            svc.handle(&post("/api/v2/traceroutes", "junk")).status,
-            400
-        );
+        assert_eq!(svc.handle(&post("/api/v2/traceroutes", "junk")).status, 400);
     }
 
     #[test]
@@ -1194,11 +1188,13 @@ mod tests {
 
         // Error paths.
         assert_eq!(
-            svc.handle(&get("/api/v2/measurements/abc/stats", &[])).status,
+            svc.handle(&get("/api/v2/measurements/abc/stats", &[]))
+                .status,
             400
         );
         assert_eq!(
-            svc.handle(&get("/api/v2/measurements/999/stats", &[])).status,
+            svc.handle(&get("/api/v2/measurements/999/stats", &[]))
+                .status,
             404
         );
     }
@@ -1218,12 +1214,22 @@ mod tests {
             assert_eq!(again.status, 200);
             assert_eq!(again.body, first.body, "cached stats must be identical");
         }
-        assert_eq!(svc.frame_builds(), 1, "unchanged measurement: zero rebuilds");
+        assert_eq!(
+            svc.frame_builds(),
+            1,
+            "unchanged measurement: zero rebuilds"
+        );
 
         // A different measurement has its own cache entry.
-        assert_eq!(svc.handle(&get("/api/v2/measurements/2/stats", &[])).status, 200);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/2/stats", &[])).status,
+            200
+        );
         assert_eq!(svc.frame_builds(), 2);
-        assert_eq!(svc.handle(&get("/api/v2/measurements/2/stats", &[])).status, 200);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/2/stats", &[])).status,
+            200
+        );
         assert_eq!(svc.frame_builds(), 2);
     }
 
@@ -1245,8 +1251,7 @@ mod tests {
         );
 
         // With both attached, every counter appears in fixed order.
-        let svc = service()
-            .with_work_queue(Arc::new(WorkQueue::new(WorkSpec::quick(2, 2))));
+        let svc = service().with_work_queue(Arc::new(WorkQueue::new(WorkSpec::quick(2, 2))));
         svc.attach_server_metrics(Arc::new(ServerMetrics::default()));
         let q = Arc::clone(svc.work_queue().unwrap());
         let t = Instant::now();
@@ -1334,7 +1339,12 @@ mod tests {
             r#"{"target_region": 9, "rounds": 4, "probe_limit": 20,
                 "fault_profile": "chaos", "retries": 2}"#,
         ));
-        assert_eq!(create.status, 201, "{}", String::from_utf8_lossy(&create.body));
+        assert_eq!(
+            create.status,
+            201,
+            "{}",
+            String::from_utf8_lossy(&create.body)
+        );
         let m: MeasurementDto = json::from_slice(&create.body).unwrap();
         assert_eq!(m.fault_profile.as_deref(), Some("chaos"));
 
@@ -1369,8 +1379,14 @@ mod tests {
         assert_eq!(ma.results, mb.results);
         assert_eq!(ma.credits_spent, mb.credits_spent);
         assert_eq!(ma.credits_refunded, 0);
-        let ra = svc.handle(&get(&format!("/api/v2/measurements/{}/results", ma.id), &[]));
-        let rb = svc.handle(&get(&format!("/api/v2/measurements/{}/results", mb.id), &[]));
+        let ra = svc.handle(&get(
+            &format!("/api/v2/measurements/{}/results", ma.id),
+            &[],
+        ));
+        let rb = svc.handle(&get(
+            &format!("/api/v2/measurements/{}/results", mb.id),
+            &[],
+        ));
         assert_eq!(ra.body, rb.body, "identical requests, identical rows");
     }
 
@@ -1403,14 +1419,18 @@ mod tests {
     #[test]
     fn durable_measurements_survive_a_service_restart() {
         let dir = temp_dir("restart");
-        let svc =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         let create = svc.handle(&post(
             "/api/v2/measurements",
             r#"{"target_region": 9, "rounds": 2, "probe_limit": 10}"#,
         ));
-        assert_eq!(create.status, 201, "{}", String::from_utf8_lossy(&create.body));
+        assert_eq!(
+            create.status,
+            201,
+            "{}",
+            String::from_utf8_lossy(&create.body)
+        );
         let m: MeasurementDto = json::from_slice(&create.body).unwrap();
         let results_before = svc
             .handle(&get(&format!("/api/v2/measurements/{}/results", m.id), &[]))
@@ -1419,9 +1439,8 @@ mod tests {
         drop(svc); // "crash"
 
         // A fresh service over the same directory knows nothing…
-        let svc2 =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc2 = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         assert_eq!(
             svc2.handle(&get(&format!("/api/v2/measurements/{}", m.id), &[]))
                 .status,
@@ -1429,7 +1448,12 @@ mod tests {
         );
         // …until it resumes from disk.
         let resume = svc2.handle(&post("/api/v2/measurements/resume", ""));
-        assert_eq!(resume.status, 200, "{}", String::from_utf8_lossy(&resume.body));
+        assert_eq!(
+            resume.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&resume.body)
+        );
         let report: ResumeReportDto = json::from_slice(&resume.body).unwrap();
         assert_eq!(report.recovered, 1);
         assert_eq!(report.skipped, 0);
@@ -1451,7 +1475,11 @@ mod tests {
             r#"{"target_region": 3, "probe_limit": 4}"#,
         ));
         let m2: MeasurementDto = json::from_slice(&again.body).unwrap();
-        assert!(m2.id > m.id, "recovered id counter must not reissue {}", m.id);
+        assert!(
+            m2.id > m.id,
+            "recovered id counter must not reissue {}",
+            m.id
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1488,21 +1516,27 @@ mod tests {
         // since the copy strictly extends the in-memory rows, the stats
         // path appends to the retained frame instead of rebuilding.
         let dir = temp_dir("stale");
-        let svc =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         seed(&svc, 9, 2, 10);
 
         // Warm the cache.
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 200);
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 200);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            200
+        );
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            200
+        );
         assert_eq!(svc.frame_builds(), 1);
         let samples_before = read(&svc.entry(1).unwrap().data).store.len();
         assert!(samples_before > 0);
 
         // Simulate another process appending a round and flushing: the
         // durable copy of measurement 1 now has one extra sample.
-        svc.persist_measurement(1, &extended_copy(&svc, 1, 1)).unwrap();
+        svc.persist_measurement(1, &extended_copy(&svc, 1, 1))
+            .unwrap();
 
         let (recovered, skipped) = svc.resume_from_disk().unwrap();
         assert_eq!((recovered, skipped), (1, 0), "longer durable copy wins");
@@ -1517,10 +1551,24 @@ mod tests {
 
         // The next stats GET recomputes via append; the one after hits
         // the new cache key.
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 200);
-        assert_eq!(svc.frame_builds(), 1, "extension must not rebuild the frame");
-        assert_eq!(svc.frame_appends(), 1, "extension feeds CampaignFrame::append");
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 200);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            200
+        );
+        assert_eq!(
+            svc.frame_builds(),
+            1,
+            "extension must not rebuild the frame"
+        );
+        assert_eq!(
+            svc.frame_appends(),
+            1,
+            "extension feeds CampaignFrame::append"
+        );
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            200
+        );
         assert_eq!((svc.frame_builds(), svc.frame_appends()), (1, 1));
         // The served counts match the recovered store, not the cached
         // pre-resume ones.
@@ -1531,7 +1579,10 @@ mod tests {
         // Re-resume with identical disk state: idempotent, no resync.
         let (recovered, _) = svc.resume_from_disk().unwrap();
         assert_eq!(recovered, 0, "equal-length durable copy is a no-op");
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 200);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            200
+        );
         assert_eq!((svc.frame_builds(), svc.frame_appends()), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1542,16 +1593,19 @@ mod tests {
         // measurement gaining N rounds one resume at a time costs
         // exactly 1 frame build + N appends — zero full rebuilds.
         let dir = temp_dir("n-appends");
-        let svc =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         seed(&svc, 9, 2, 10);
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 200);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            200
+        );
         assert_eq!((svc.frame_builds(), svc.frame_appends()), (1, 0));
 
         const N: u64 = 4;
         for n in 1..=N {
-            svc.persist_measurement(1, &extended_copy(&svc, 1, n)).unwrap();
+            svc.persist_measurement(1, &extended_copy(&svc, 1, n))
+                .unwrap();
             let (recovered, _) = svc.resume_from_disk().unwrap();
             assert_eq!(recovered, 1, "round {n} recovered");
             assert_eq!(
@@ -1573,11 +1627,13 @@ mod tests {
         // in-memory rows (a replaced history) must invalidate the
         // retained frame: generation bumps, the stats path rebuilds.
         let dir = temp_dir("divergent");
-        let svc =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         seed(&svc, 9, 2, 10);
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 200);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            200
+        );
         assert_eq!((svc.frame_builds(), svc.frame_appends()), (1, 0));
 
         let mut divergent = extended_copy(&svc, 1, 1);
@@ -1597,9 +1653,16 @@ mod tests {
         let (recovered, _) = svc.resume_from_disk().unwrap();
         assert_eq!(recovered, 1, "longer divergent copy still wins");
         let entry = svc.entry(1).unwrap();
-        assert_eq!(read(&entry.data).generation, 1, "replace bumps the generation");
+        assert_eq!(
+            read(&entry.data).generation,
+            1,
+            "replace bumps the generation"
+        );
 
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 200);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            200
+        );
         assert_eq!(
             (svc.frame_builds(), svc.frame_appends()),
             (2, 0),
@@ -1613,11 +1676,13 @@ mod tests {
         // Deleting an entry drops its cache with it; a resume that
         // reloads the durable copy starts from a cold cache.
         let dir = temp_dir("del-resume");
-        let svc =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         seed(&svc, 5, 1, 6);
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 200);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            200
+        );
         assert_eq!(svc.frame_builds(), 1);
 
         let del = Request {
@@ -1628,11 +1693,17 @@ mod tests {
             body: Vec::new(),
         };
         assert_eq!(svc.handle(&del).status, 204);
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 404);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            404
+        );
 
         let (recovered, _) = svc.resume_from_disk().unwrap();
         assert_eq!(recovered, 1, "durable copy restores the deleted entry");
-        assert_eq!(svc.handle(&get("/api/v2/measurements/1/stats", &[])).status, 200);
+        assert_eq!(
+            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
+            200
+        );
         assert_eq!(svc.frame_builds(), 2, "fresh entry, fresh cache");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1640,9 +1711,8 @@ mod tests {
     #[test]
     fn resume_skips_corrupt_files_and_respects_opt_out() {
         let dir = temp_dir("corrupt");
-        let svc =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         // Opted-out measurements leave no file behind.
         let create = svc.handle(&post(
             "/api/v2/measurements",
@@ -1681,9 +1751,8 @@ mod tests {
     #[test]
     fn flush_writes_every_measurement() {
         let dir = temp_dir("flush");
-        let svc =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         // Create one non-durable measurement, then flush: the graceful
         // shutdown path persists even opted-out state.
         svc.handle(&post(
@@ -1691,9 +1760,8 @@ mod tests {
             r#"{"target_region": 1, "probe_limit": 3, "durability": false}"#,
         ));
         svc.flush().unwrap();
-        let svc2 =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc2 = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         let (recovered, skipped) = svc2.resume_from_disk().unwrap();
         assert_eq!((recovered, skipped), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1705,9 +1773,8 @@ mod tests {
         // itself (including INFINITY loss markers) independently of the
         // HTTP/JSON surface.
         let dir = temp_dir("codec");
-        let svc =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         let lost = RttSample {
             probe: shears_atlas::ProbeId(3),
             region: 9,
@@ -1746,9 +1813,8 @@ mod tests {
         svc.persist_state().unwrap();
         drop(svc);
 
-        let svc2 =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc2 = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         let (recovered, skipped) = svc2.resume_from_disk().unwrap();
         assert_eq!((recovered, skipped), (1, 0));
         assert_eq!(svc2.next_id.load(Ordering::SeqCst), 78);
@@ -1762,7 +1828,10 @@ mod tests {
         assert_eq!(got.fault_profile.as_deref(), Some("chaos"));
         assert_eq!(got.retried_rounds, 1);
         assert_eq!(got.store, m.store);
-        assert!(got.store.get(0).min_ms.is_infinite(), "loss marker survives");
+        assert!(
+            got.store.get(0).min_ms.is_infinite(),
+            "loss marker survives"
+        );
         drop(got);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1773,9 +1842,8 @@ mod tests {
         // and nothing was created — so the upfront debit must be
         // returned, not silently kept.
         let dir = temp_dir("persist-fail");
-        let svc =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         let before = svc.credits();
         // Make every write under the durability directory fail.
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1790,8 +1858,15 @@ mod tests {
             durability: true,
         });
         assert_eq!(resp.status, 500, "{}", String::from_utf8_lossy(&resp.body));
-        assert_eq!(svc.credits(), before, "failed create must not keep the charge");
-        assert!(read(&svc.measurements).is_empty(), "no half-created measurement");
+        assert_eq!(
+            svc.credits(),
+            before,
+            "failed create must not keep the charge"
+        );
+        assert!(
+            read(&svc.measurements).is_empty(),
+            "no half-created measurement"
+        );
     }
 
     #[test]
@@ -1800,9 +1875,8 @@ mod tests {
         // inserted must not turn a successful create into a 500: the
         // client was charged and the measurement serves.
         let dir = temp_dir("state-fail");
-        let svc =
-            AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-                .unwrap();
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
         let before = svc.credits();
         std::fs::remove_dir_all(&dir).unwrap();
         // durability:false skips the per-measurement WAL, so only the
@@ -1818,8 +1892,14 @@ mod tests {
             durability: false,
         });
         assert_eq!(resp.status, 201, "{}", String::from_utf8_lossy(&resp.body));
-        assert!(svc.entry(1).is_some(), "measurement is live despite the failed snapshot");
-        assert!(svc.credits() < before, "the served measurement stays charged");
+        assert!(
+            svc.entry(1).is_some(),
+            "measurement is live despite the failed snapshot"
+        );
+        assert!(
+            svc.credits() < before,
+            "the served measurement stays charged"
+        );
     }
 
     #[test]

@@ -50,9 +50,7 @@ use std::time::{Duration, Instant};
 
 use shears_atlas::journal::{frame, read_frame};
 
-use crate::work::{
-    self, decode_stream_msg, StreamMsg, WorkQueue, WorkReply, WORK_PROTO_VERSION,
-};
+use crate::work::{self, decode_stream_msg, StreamMsg, WorkQueue, WorkReply, WORK_PROTO_VERSION};
 
 /// First bytes of a work-plane stream. The reactor sniffs these to
 /// tell a raw work stream from an HTTP request arriving on the same
@@ -135,7 +133,9 @@ impl StreamDecoder {
     pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, StreamError> {
         if self.buf.len() - self.pos >= 4 {
             let declared = u32::from_le_bytes(
-                self.buf[self.pos..self.pos + 4].try_into().expect("4 bytes"),
+                self.buf[self.pos..self.pos + 4]
+                    .try_into()
+                    .expect("4 bytes"),
             );
             if declared > MAX_STREAM_FRAME {
                 return Err(StreamError::Oversize(declared));
@@ -687,9 +687,7 @@ mod tests {
         // A pipelined burst of all four rounds: four tagged verdicts
         // come back, in order here, matchable out of order in general.
         let burst: Vec<Vec<u8>> = (0..4)
-            .map(|r| {
-                work::frame_submit_payload(worker, 0, r, 10, 0, &ResultStore::new())
-            })
+            .map(|r| work::frame_submit_payload(worker, 0, r, 10, 0, &ResultStore::new()))
             .collect();
         let replies = drive_payloads(&mut ws, &queue, &burst);
         // Four tagged verdicts — plus the campaign finishing on the

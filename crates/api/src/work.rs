@@ -298,7 +298,11 @@ pub fn decode_stream_msg(payload: &[u8]) -> Result<StreamMsg, &'static str> {
     match r.u8()? {
         TAG_HELLO => {
             let version = r.u32()?;
-            let reconnect = if r.remaining() > 0 { r.u8()? != 0 } else { false };
+            let reconnect = if r.remaining() > 0 {
+                r.u8()? != 0
+            } else {
+                false
+            };
             Ok(StreamMsg::Hello { version, reconnect })
         }
         TAG_WELCOME => {
@@ -621,7 +625,10 @@ impl WorkQueue {
     }
 
     fn all_done(&self, inner: &Inner) -> bool {
-        inner.shards.iter().all(|s| s.next_needed >= self.spec.rounds)
+        inner
+            .shards
+            .iter()
+            .all(|s| s.next_needed >= self.spec.rounds)
     }
 
     /// Poll: heartbeat + acquire work. An idle worker is handed the
@@ -722,17 +729,13 @@ impl WorkQueue {
     pub fn submit(&self, sub: FrameSubmission, now: Instant) -> (FrameVerdict, bool) {
         let mut inner = self.inner.lock().expect("work queue poisoned");
         Self::touch(&mut inner, sub.worker, now);
-        let current =
-            Self::owned_shard(&inner, sub.worker) == Some(sub.shard) && !inner.aborted;
+        let current = Self::owned_shard(&inner, sub.worker) == Some(sub.shard) && !inner.aborted;
         if sub.shard >= self.spec.shard_count || sub.round >= self.spec.rounds {
             inner.metrics.frames_rejected += 1;
             return (FrameVerdict::Rejected, current);
         }
         if let Some(&(lo, hi)) = self.spec.probe_ranges.get(sub.shard as usize) {
-            let stray = sub
-                .store
-                .iter()
-                .any(|s| s.probe.0 < lo || s.probe.0 >= hi);
+            let stray = sub.store.iter().any(|s| s.probe.0 < lo || s.probe.0 >= hi);
             if stray {
                 inner.metrics.frames_rejected += 1;
                 return (FrameVerdict::Rejected, current);
@@ -946,7 +949,11 @@ impl WorkQueue {
 
     /// Workers currently considered live.
     pub fn live_workers(&self) -> u64 {
-        self.inner.lock().expect("work queue poisoned").metrics.workers_live
+        self.inner
+            .lock()
+            .expect("work queue poisoned")
+            .metrics
+            .workers_live
     }
 
     /// Shards that have been leased at least once. It only grows: a
@@ -1022,7 +1029,11 @@ impl WorkQueue {
 
     /// Counts one control reply pushed down a stream unprompted.
     pub fn note_reply_pushed(&self) {
-        self.inner.lock().expect("work queue poisoned").metrics.replies_pushed += 1;
+        self.inner
+            .lock()
+            .expect("work queue poisoned")
+            .metrics
+            .replies_pushed += 1;
     }
 
     /// Buckets one frame-arrival → verdict-on-the-wire latency.
@@ -1105,7 +1116,10 @@ mod tests {
 
         for reconnect in [false, true] {
             match msg(stream_hello_payload(reconnect)) {
-                StreamMsg::Hello { version, reconnect: r } => {
+                StreamMsg::Hello {
+                    version,
+                    reconnect: r,
+                } => {
                     assert_eq!((version, r), (WORK_PROTO_VERSION, reconnect));
                 }
                 other => panic!("{other:?}"),
@@ -1116,18 +1130,31 @@ mod tests {
         bare.pop();
         assert!(matches!(
             msg(bare),
-            StreamMsg::Hello { version: WORK_PROTO_VERSION, reconnect: false }
+            StreamMsg::Hello {
+                version: WORK_PROTO_VERSION,
+                reconnect: false
+            }
         ));
 
         match msg(welcome_payload(7, 250, b"header-bytes")) {
-            StreamMsg::Welcome { worker, heartbeat_ms, header } => {
+            StreamMsg::Welcome {
+                worker,
+                heartbeat_ms,
+                header,
+            } => {
                 assert_eq!((worker, heartbeat_ms), (7, 250));
                 assert_eq!(header, b"header-bytes");
             }
             other => panic!("{other:?}"),
         }
-        assert!(matches!(msg(poll_payload(42)), StreamMsg::Poll { worker: 42 }));
-        assert!(matches!(msg(heartbeat_payload(9)), StreamMsg::Heartbeat { worker: 9 }));
+        assert!(matches!(
+            msg(poll_payload(42)),
+            StreamMsg::Poll { worker: 42 }
+        ));
+        assert!(matches!(
+            msg(heartbeat_payload(9)),
+            StreamMsg::Heartbeat { worker: 9 }
+        ));
 
         let assigned = WorkReply::Assigned(WorkAssignment {
             shard: 2,
@@ -1142,10 +1169,19 @@ mod tests {
             }
         }
 
-        for verdict in [FrameVerdict::Accepted, FrameVerdict::Duplicate, FrameVerdict::Rejected] {
+        for verdict in [
+            FrameVerdict::Accepted,
+            FrameVerdict::Duplicate,
+            FrameVerdict::Rejected,
+        ] {
             for current in [true, false] {
                 match msg(verdict_payload(3, 5, verdict, current)) {
-                    StreamMsg::Verdict { shard, round, verdict: v, current: c } => {
+                    StreamMsg::Verdict {
+                        shard,
+                        round,
+                        verdict: v,
+                        current: c,
+                    } => {
                         assert_eq!((shard, round, v, c), (3, 5, verdict, current));
                     }
                     other => panic!("{other:?}"),
@@ -1174,8 +1210,14 @@ mod tests {
 
         // Malformed payloads are refused, never panic.
         let reply = reply_payload(&assigned);
-        assert!(decode_stream_msg(&reply[..reply.len() - 1]).is_err(), "truncated reply");
-        assert!(decode_stream_msg(&[0xEE, 0, 0, 0, 0]).is_err(), "unknown tag");
+        assert!(
+            decode_stream_msg(&reply[..reply.len() - 1]).is_err(),
+            "truncated reply"
+        );
+        assert!(
+            decode_stream_msg(&[0xEE, 0, 0, 0, 0]).is_err(),
+            "unknown tag"
+        );
         let mut bad = verdict_payload(0, 0, FrameVerdict::Accepted, true);
         bad[9] = 7;
         assert!(decode_stream_msg(&bad).is_err(), "unknown verdict byte");
@@ -1189,11 +1231,21 @@ mod tests {
         let (a, b) = (q.register(t), q.register(t));
         assert_eq!(
             q.poll(a, t),
-            WorkReply::Assigned(WorkAssignment { shard: 0, shard_count: 2, start_round: 0, rounds: 2 })
+            WorkReply::Assigned(WorkAssignment {
+                shard: 0,
+                shard_count: 2,
+                start_round: 0,
+                rounds: 2
+            })
         );
         assert_eq!(
             q.poll(b, t),
-            WorkReply::Assigned(WorkAssignment { shard: 1, shard_count: 2, start_round: 0, rounds: 2 })
+            WorkReply::Assigned(WorkAssignment {
+                shard: 1,
+                shard_count: 2,
+                start_round: 0,
+                rounds: 2
+            })
         );
         // Re-poll restates, never double-assigns.
         assert!(matches!(q.poll(a, t), WorkReply::Assigned(x) if x.shard == 0));

@@ -83,21 +83,121 @@ type AppRow = (&'static str, f64, f64, f64, f64, f64, bool, f64, f64);
 pub fn driving_applications() -> Vec<Application> {
     let rows: &[AppRow] = &[
         ("AR/VR", 2.5, 20.0, 5.0, 50.0, 160.0, true, 0.9, 5e4),
-        ("360-degree streaming", 10.0, 50.0, 10.0, 100.0, 25.0, true, 0.3, 5e4),
+        (
+            "360-degree streaming",
+            10.0,
+            50.0,
+            10.0,
+            100.0,
+            25.0,
+            true,
+            0.3,
+            5e4,
+        ),
         ("Cloud gaming", 40.0, 100.0, 2.0, 20.0, 8.0, true, 1.0, 1e5),
-        ("Autonomous vehicles", 1.0, 10.0, 100.0, 5000.0, 60.0, false, 0.01, 2e5),
-        ("Teleoperated driving", 10.0, 100.0, 5.0, 50.0, 30.0, true, 0.8, 5e3),
-        ("Remote surgery", 100.0, 250.0, 0.2, 2.0, 5.0, true, 1.0, 1e2),
-        ("Industrial automation", 1.0, 10.0, 0.1, 1.0, 100.0, false, 0.05, 5e4),
-        ("Traffic camera monitoring", 50.0, 250.0, 20.0, 500.0, 30.0, false, 0.02, 2e4),
-        ("Drone control", 10.0, 100.0, 1.0, 10.0, 30.0, true, 0.2, 2e3),
+        (
+            "Autonomous vehicles",
+            1.0,
+            10.0,
+            100.0,
+            5000.0,
+            60.0,
+            false,
+            0.01,
+            2e5,
+        ),
+        (
+            "Teleoperated driving",
+            10.0,
+            100.0,
+            5.0,
+            50.0,
+            30.0,
+            true,
+            0.8,
+            5e3,
+        ),
+        (
+            "Remote surgery",
+            100.0,
+            250.0,
+            0.2,
+            2.0,
+            5.0,
+            true,
+            1.0,
+            1e2,
+        ),
+        (
+            "Industrial automation",
+            1.0,
+            10.0,
+            0.1,
+            1.0,
+            100.0,
+            false,
+            0.05,
+            5e4,
+        ),
+        (
+            "Traffic camera monitoring",
+            50.0,
+            250.0,
+            20.0,
+            500.0,
+            30.0,
+            false,
+            0.02,
+            2e4,
+        ),
+        (
+            "Drone control",
+            10.0,
+            100.0,
+            1.0,
+            10.0,
+            30.0,
+            true,
+            0.2,
+            2e3,
+        ),
         ("Smart city", 1e3, 3.6e6, 1.0, 100.0, 90.0, false, 0.05, 2e5),
-        ("Smart parking", 6e4, 3.6e6, 0.001, 0.1, 5.0, false, 0.1, 5e4),
+        (
+            "Smart parking",
+            6e4,
+            3.6e6,
+            0.001,
+            0.1,
+            5.0,
+            false,
+            0.1,
+            5e4,
+        ),
         ("Smart home", 1e3, 6e4, 0.01, 1.0, 80.0, true, 0.2, 5e5),
         ("Smart grid", 100.0, 1e4, 0.1, 1.0, 60.0, false, 0.1, 5e5),
         ("Wearables", 20.0, 100.0, 0.001, 0.1, 70.0, true, 0.5, 1e6),
-        ("Health monitoring", 40.0, 200.0, 0.01, 0.5, 30.0, true, 0.3, 2e5),
-        ("Weather monitoring", 6e4, 3.6e6, 0.001, 0.01, 3.0, false, 0.2, 1e3),
+        (
+            "Health monitoring",
+            40.0,
+            200.0,
+            0.01,
+            0.5,
+            30.0,
+            true,
+            0.3,
+            2e5,
+        ),
+        (
+            "Weather monitoring",
+            6e4,
+            3.6e6,
+            0.001,
+            0.01,
+            3.0,
+            false,
+            0.2,
+            1e3,
+        ),
     ];
     rows.iter()
         .map(
@@ -129,7 +229,10 @@ mod tests {
         let names: std::collections::HashSet<_> = apps.iter().map(|a| a.name).collect();
         assert_eq!(names.len(), apps.len());
         // Latency scale spans ms to an hour, as the figure's y-axis does.
-        let min = apps.iter().map(|a| a.latency_ms.lo).fold(f64::MAX, f64::min);
+        let min = apps
+            .iter()
+            .map(|a| a.latency_ms.lo)
+            .fold(f64::MAX, f64::min);
         let max = apps.iter().map(|a| a.latency_ms.hi).fold(0.0, f64::max);
         assert!(min <= 2.5 && max >= 3.6e6, "span {min}..{max}");
     }

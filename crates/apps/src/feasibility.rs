@@ -45,7 +45,9 @@ impl FeasibilityVerdict {
     pub fn reason(self) -> &'static str {
         match self {
             FeasibilityVerdict::InZone => "in feasibility zone",
-            FeasibilityVerdict::TooStringentLatency => "latency too stringent (below wireless floor)",
+            FeasibilityVerdict::TooStringentLatency => {
+                "latency too stringent (below wireless floor)"
+            }
             FeasibilityVerdict::TooRelaxedLatency => "latency too relaxed (cloud suffices)",
             FeasibilityVerdict::InsufficientBandwidth => "too little data for aggregation gains",
         }
@@ -126,8 +128,7 @@ mod tests {
 
     fn verdict(name: &str) -> FeasibilityVerdict {
         let apps = driving_applications();
-        FeasibilityZone::paper_defaults()
-            .classify(apps.iter().find(|a| a.name == name).unwrap())
+        FeasibilityZone::paper_defaults().classify(apps.iter().find(|a| a.name == name).unwrap())
     }
 
     #[test]
@@ -150,10 +151,7 @@ mod tests {
             verdict("Wearables"),
             FeasibilityVerdict::InsufficientBandwidth
         );
-        assert_eq!(
-            verdict("Smart home"),
-            FeasibilityVerdict::TooRelaxedLatency
-        );
+        assert_eq!(verdict("Smart home"), FeasibilityVerdict::TooRelaxedLatency);
     }
 
     #[test]

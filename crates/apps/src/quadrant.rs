@@ -93,7 +93,10 @@ mod tests {
             quadrant_of("Smart city"),
             Quadrant::Q3HighLatencyHighBandwidth
         );
-        assert_eq!(quadrant_of("Smart home"), Quadrant::Q4HighLatencyLowBandwidth);
+        assert_eq!(
+            quadrant_of("Smart home"),
+            Quadrant::Q4HighLatencyLowBandwidth
+        );
         assert_eq!(
             quadrant_of("Weather monitoring"),
             Quadrant::Q4HighLatencyLowBandwidth

@@ -66,15 +66,17 @@ impl OutageSchedule {
     /// Whether the probe is up at instant `t`.
     pub fn is_up(&self, t: SimTime) -> bool {
         // Binary search over sorted disjoint intervals.
-        self.downtimes.binary_search_by(|&(start, end)| {
-            if t < start {
-                std::cmp::Ordering::Greater
-            } else if t >= end {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }).is_err()
+        self.downtimes
+            .binary_search_by(|&(start, end)| {
+                if t < start {
+                    std::cmp::Ordering::Greater
+                } else if t >= end {
+                    std::cmp::Ordering::Less
+                } else {
+                    std::cmp::Ordering::Equal
+                }
+            })
+            .is_err()
     }
 
     /// Number of outage episodes in the window.

@@ -211,9 +211,8 @@ impl<'p> Campaign<'p> {
         if !self.cfg.faults.enabled {
             return None;
         }
-        let horizon = SimTime::from_nanos(
-            self.cfg.interval.as_nanos() * u64::from(self.cfg.rounds) + 1,
-        );
+        let horizon =
+            SimTime::from_nanos(self.cfg.interval.as_nanos() * u64::from(self.cfg.rounds) + 1);
         Some(FaultPlan::generate(
             self.platform.topology(),
             &self.cfg.faults,
@@ -227,9 +226,8 @@ impl<'p> Campaign<'p> {
         if !self.cfg.churn {
             return None;
         }
-        let horizon = SimTime::from_nanos(
-            self.cfg.interval.as_nanos() * u64::from(self.cfg.rounds) + 1,
-        );
+        let horizon =
+            SimTime::from_nanos(self.cfg.interval.as_nanos() * u64::from(self.cfg.rounds) + 1);
         Some(
             self.platform
                 .probes()
@@ -348,35 +346,29 @@ impl<'p> Campaign<'p> {
                         // campaign can never refund the same failed
                         // measurement twice.
                         let key = (u64::from(probe.id.0) << 16) | u64::from(region);
-                        ledger.refund_once(
-                            key,
-                            round,
-                            cost.saturating_mul(u64::from(attempts)),
-                        );
+                        ledger.refund_once(key, round, cost.saturating_mul(u64::from(attempts)));
                     }
                     break;
                 }
             }
             let sample = match prober {
                 RoundProber::Ping(_) => {
-                    let (min_ms, avg_ms, received) = ping_ok.map_or(
-                        (f32::INFINITY, f32::INFINITY, 0u8),
-                        |o| {
+                    let (min_ms, avg_ms, received) =
+                        ping_ok.map_or((f32::INFINITY, f32::INFINITY, 0u8), |o| {
                             (
                                 o.min_ms().map_or(f32::INFINITY, |v| v as f32),
                                 o.avg_ms().map_or(f32::INFINITY, |v| v as f32),
                                 o.received.min(u32::from(u8::MAX)) as u8,
                             )
-                        },
-                    );
+                        });
                     RttSample {
                         probe: probe.id,
                         region,
                         at,
                         min_ms,
                         avg_ms,
-                        sent: (self.cfg.packets.saturating_mul(attempts))
-                            .min(u32::from(u8::MAX)) as u8,
+                        sent: (self.cfg.packets.saturating_mul(attempts)).min(u32::from(u8::MAX))
+                            as u8,
                         received,
                     }
                 }
@@ -554,7 +546,9 @@ impl<'p> Campaign<'p> {
         mut journal: Option<(&mut JournalWriter, &DurabilityConfig)>,
     ) -> Result<(), CampaignError> {
         let probes = self.platform.probes();
-        let table = self.platform.route_table_for(probes, targets, threads.max(1));
+        let table = self
+            .platform
+            .route_table_for(probes, targets, threads.max(1));
         let plan = self.fault_plan();
         let master = SimRng::new(self.cfg.seed);
         let outages = self.outage_table(&master);
@@ -633,7 +627,10 @@ impl<'p> Campaign<'p> {
     pub fn shard_ranges(&self, count: usize) -> Vec<std::ops::Range<usize>> {
         let n = self.platform.probes().len();
         let chunk = n.div_ceil(count.max(1)).max(1);
-        (0..n).step_by(chunk).map(|s| s..(s + chunk).min(n)).collect()
+        (0..n)
+            .step_by(chunk)
+            .map(|s| s..(s + chunk).min(n))
+            .collect()
     }
 
     /// Builds the execution context for shard `shard` of a `count`-way
@@ -690,7 +687,13 @@ impl<'p> Campaign<'p> {
             .table
             .get_or_insert_with(|| self.platform.route_table_for(shard, &ctx.targets, 1));
         let mut prober = RoundProber::new(self.platform, self.cfg.kind, table, ctx.plan.as_ref());
-        self.run_shard_round(&mut prober, shard, &ctx.targets, ctx.outages.as_deref(), round)
+        self.run_shard_round(
+            &mut prober,
+            shard,
+            &ctx.targets,
+            ctx.outages.as_deref(),
+            round,
+        )
     }
 
     /// Synthesises the samples a lost shard-round *would have
@@ -946,7 +949,11 @@ mod tests {
             .ledger
             .spent();
         let _ = std::fs::remove_file(&probe_path);
-        assert_eq!(cfg.recovery, RetryPolicy::none(), "no refunds: spend is the grant");
+        assert_eq!(
+            cfg.recovery,
+            RetryPolicy::none(),
+            "no refunds: spend is the grant"
+        );
         for (credits, fits) in [(exact, true), (exact - 1, false)] {
             let c = Campaign::new(&p, CampaignConfig { credits, ..cfg });
             let mut runs = vec![("run".to_string(), c.run())];
@@ -977,7 +984,10 @@ mod tests {
     fn credits_needed_bounds_actual_spend() {
         let p = tiny_platform();
         let cfg = tiny_cfg();
-        let needed = cfg.credits_needed(p.probes().len(), cfg.targets_per_probe + cfg.adjacent_targets);
+        let needed = cfg.credits_needed(
+            p.probes().len(),
+            cfg.targets_per_probe + cfg.adjacent_targets,
+        );
         let generous = CampaignConfig {
             credits: needed,
             ..cfg
@@ -996,11 +1006,7 @@ mod tests {
 
     #[test]
     fn from_spec_maps_measurement_definitions() {
-        let spec = crate::measurement::MeasurementSpec::paper_ping(
-            7,
-            3,
-            SimTime::from_days(9),
-        );
+        let spec = crate::measurement::MeasurementSpec::paper_ping(7, 3, SimTime::from_days(9));
         let cfg = CampaignConfig::from_spec(&spec);
         assert_eq!(cfg.rounds, 9 * 8 + 1);
         assert_eq!(cfg.interval, SimTime::from_hours(3));
@@ -1135,7 +1141,10 @@ mod tests {
             "a 90% extra-loss burst must depress the response rate"
         );
         assert!(
-            degraded.sent().iter().any(|&sent| u32::from(sent) > cfg.packets),
+            degraded
+                .sent()
+                .iter()
+                .any(|&sent| u32::from(sent) > cfg.packets),
             "some measurements must have retried"
         );
         for s in degraded.iter() {
@@ -1174,7 +1183,9 @@ mod tests {
         for threads in [1usize, 3] {
             let path = tmp_journal("match");
             let d = DurabilityConfig::new(&path);
-            let out = Campaign::new(&p, tiny_cfg()).run_durable(threads, &d).unwrap();
+            let out = Campaign::new(&p, tiny_cfg())
+                .run_durable(threads, &d)
+                .unwrap();
             assert_eq!(
                 out.store, seq,
                 "durable({threads} threads) must be byte-identical to run()"
@@ -1197,7 +1208,9 @@ mod tests {
         let path = tmp_journal("crash");
         let mut d = DurabilityConfig::new(&path);
         d.crash_after_round = Some(1);
-        let err = Campaign::new(&p, tiny_cfg()).run_durable(2, &d).unwrap_err();
+        let err = Campaign::new(&p, tiny_cfg())
+            .run_durable(2, &d)
+            .unwrap_err();
         assert!(matches!(err, CampaignError::SimulatedCrash { round: 1 }));
         d.crash_after_round = None;
         let resumed = Campaign::resume(&p, &d, 2).unwrap();
@@ -1215,7 +1228,9 @@ mod tests {
         let path = tmp_journal("drift");
         let mut d = DurabilityConfig::new(&path);
         d.crash_after_round = Some(0);
-        let _ = Campaign::new(&p, tiny_cfg()).run_durable(1, &d).unwrap_err();
+        let _ = Campaign::new(&p, tiny_cfg())
+            .run_durable(1, &d)
+            .unwrap_err();
         d.crash_after_round = None;
         // A different fleet digests differently: resume must refuse.
         let other = Platform::build(&PlatformConfig {
@@ -1320,8 +1335,7 @@ mod tests {
             let mut store = ResultStore::new();
             let mut ledger = CreditLedger::new(cfg.credits);
             for round in 0..cfg.rounds {
-                let outputs: Vec<_> =
-                    ctxs.iter_mut().map(|ctx| c.run_shard(ctx, round)).collect();
+                let outputs: Vec<_> = ctxs.iter_mut().map(|ctx| c.run_shard(ctx, round)).collect();
                 let gross: u64 = outputs.iter().map(|(_, g, _)| g).sum();
                 let refunds: u64 = outputs.iter().map(|(_, _, r)| r).sum();
                 ledger.debit(gross).unwrap();
@@ -1330,7 +1344,10 @@ mod tests {
                     store.merge(shard_store);
                 }
             }
-            assert_eq!(store, expected, "{count}-way public shard merge must equal run()");
+            assert_eq!(
+                store, expected,
+                "{count}-way public shard merge must equal run()"
+            );
         }
     }
 
@@ -1363,8 +1380,14 @@ mod tests {
         let h00 = c.shard_header(&c.shard_context(0, 2));
         let h01 = c.shard_header(&c.shard_context(1, 2));
         let h03 = c.shard_header(&c.shard_context(0, 3));
-        assert_ne!(h00.fleet_digest, h01.fleet_digest, "shard index must matter");
-        assert_ne!(h00.fleet_digest, h03.fleet_digest, "shard count must matter");
+        assert_ne!(
+            h00.fleet_digest, h01.fleet_digest,
+            "shard index must matter"
+        );
+        assert_ne!(
+            h00.fleet_digest, h03.fleet_digest,
+            "shard count must matter"
+        );
         assert_eq!(
             h00.fleet_digest,
             c.shard_header(&c.shard_context(0, 2)).fleet_digest,

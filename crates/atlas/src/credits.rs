@@ -22,10 +22,9 @@ pub enum CreditError {
 impl std::fmt::Display for CreditError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CreditError::InsufficientCredits { available, needed } => write!(
-                f,
-                "insufficient credits: have {available}, need {needed}"
-            ),
+            CreditError::InsufficientCredits { available, needed } => {
+                write!(f, "insufficient credits: have {available}, need {needed}")
+            }
         }
     }
 }

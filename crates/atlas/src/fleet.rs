@@ -125,8 +125,7 @@ impl FleetBuilder {
                     1.0 + (-(1.0 - sampler.uniform()).ln())
                         * (0.10 + (1.0 - country.infra_quality) * 0.30)
                 };
-                let mut tags: Vec<String> =
-                    SYSTEM_TAGS.iter().map(|s| s.to_string()).collect();
+                let mut tags: Vec<String> = SYSTEM_TAGS.iter().map(|s| s.to_string()).collect();
                 if privileged {
                     tags.push("datacentre".into());
                     tags.push("ethernet".into());
@@ -197,12 +196,7 @@ mod tests {
         let (_, probes) = fleet(3200);
         let eu_na = probes
             .iter()
-            .filter(|p| {
-                matches!(
-                    p.continent,
-                    Continent::Europe | Continent::NorthAmerica
-                )
-            })
+            .filter(|p| matches!(p.continent, Continent::Europe | Continent::NorthAmerica))
             .count();
         let share = eu_na as f64 / probes.len() as f64;
         assert!(
@@ -224,16 +218,16 @@ mod tests {
         let (_, probes) = fleet(3200);
         let privileged = probes.iter().filter(|p| p.is_privileged()).count();
         let share = privileged as f64 / probes.len() as f64;
-        assert!(
-            (0.01..0.08).contains(&share),
-            "privileged share {share}"
-        );
+        assert!((0.01..0.08).contains(&share), "privileged share {share}");
     }
 
     #[test]
     fn wireless_minority_exists_everywhere() {
         let (_, probes) = fleet(3200);
-        let wireless = probes.iter().filter(|p| p.access.tech.is_wireless()).count();
+        let wireless = probes
+            .iter()
+            .filter(|p| p.access.tech.is_wireless())
+            .count();
         let share = wireless as f64 / probes.len() as f64;
         assert!((0.10..0.40).contains(&share), "wireless share {share}");
     }

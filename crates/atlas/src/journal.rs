@@ -759,7 +759,10 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
                     round,
                     rows_start,
                     rows_end: store.len(),
-                    gross: ledger.spent().saturating_sub(prev_spent).saturating_add(refund),
+                    gross: ledger
+                        .spent()
+                        .saturating_sub(prev_spent)
+                        .saturating_add(refund),
                     refund,
                 });
                 next_round = round + 1;
@@ -928,7 +931,8 @@ mod tests {
         let mut w = JournalWriter::create(&path, &header(), false).unwrap();
         let mut ledger = CreditLedger::new(100);
         ledger.debit(9).unwrap();
-        w.append_round(0, &store_of(&[sample(1, 10, 0, 12.5)]), 0, &ledger).unwrap();
+        w.append_round(0, &store_of(&[sample(1, 10, 0, 12.5)]), 0, &ledger)
+            .unwrap();
         ledger.debit(9).unwrap();
         let mut lost = sample(2, 11, 3, 0.0);
         lost.received = 0;
@@ -1001,7 +1005,8 @@ mod tests {
         let path = tmp_path("torn");
         let mut w = JournalWriter::create(&path, &header(), false).unwrap();
         let ledger = CreditLedger::new(5);
-        w.append_round(0, &store_of(&[sample(1, 10, 0, 12.5)]), 0, &ledger).unwrap();
+        w.append_round(0, &store_of(&[sample(1, 10, 0, 12.5)]), 0, &ledger)
+            .unwrap();
         drop(w);
         let full = std::fs::read(&path).unwrap();
 
@@ -1018,9 +1023,8 @@ mod tests {
             w2_path_bytes.truncate(full.len());
             w2_path_bytes.extend_from_slice(&extra[..cut]);
             std::fs::write(&path, &w2_path_bytes).unwrap();
-            let replayed = replay(&path).unwrap_or_else(|e| {
-                panic!("cut at {cut} bytes must recover, got {e}")
-            });
+            let replayed = replay(&path)
+                .unwrap_or_else(|e| panic!("cut at {cut} bytes must recover, got {e}"));
             assert!(replayed.torn_tail, "cut at {cut}");
             assert_eq!(replayed.next_round, 1, "cut at {cut}");
             assert_eq!(replayed.store.len(), 1, "cut at {cut}");
@@ -1034,7 +1038,8 @@ mod tests {
         let path = tmp_path("flip");
         let mut w = JournalWriter::create(&path, &header(), false).unwrap();
         let ledger = CreditLedger::new(5);
-        w.append_round(0, &store_of(&[sample(1, 10, 0, 12.5)]), 0, &ledger).unwrap();
+        w.append_round(0, &store_of(&[sample(1, 10, 0, 12.5)]), 0, &ledger)
+            .unwrap();
         drop(w);
         let pristine = std::fs::read(&path).unwrap();
         // Flip one bit in every payload byte position of the round frame
@@ -1073,7 +1078,8 @@ mod tests {
         let path = tmp_path("order");
         let mut w = JournalWriter::create(&path, &header(), false).unwrap();
         let ledger = CreditLedger::new(5);
-        w.append_round(1, &store_of(&[sample(1, 10, 0, 12.5)]), 0, &ledger).unwrap();
+        w.append_round(1, &store_of(&[sample(1, 10, 0, 12.5)]), 0, &ledger)
+            .unwrap();
         drop(w);
         assert!(matches!(
             replay(&path),
@@ -1244,7 +1250,8 @@ mod tests {
         let path = tmp_path("truncate");
         let mut w = JournalWriter::create(&path, &header(), false).unwrap();
         let ledger = CreditLedger::new(5);
-        w.append_round(0, &store_of(&[sample(1, 10, 0, 12.5)]), 0, &ledger).unwrap();
+        w.append_round(0, &store_of(&[sample(1, 10, 0, 12.5)]), 0, &ledger)
+            .unwrap();
         drop(w);
         let valid = std::fs::metadata(&path).unwrap().len();
         // Torn garbage at the tail…
@@ -1256,7 +1263,8 @@ mod tests {
         // …is cut off on reopen, and appends continue cleanly.
         let mut w = JournalWriter::open_append(&path, &replayed, false).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), valid);
-        w.append_round(1, &store_of(&[sample(2, 4, 3, 8.0)]), 0, &ledger).unwrap();
+        w.append_round(1, &store_of(&[sample(2, 4, 3, 8.0)]), 0, &ledger)
+            .unwrap();
         w.sync().unwrap();
         drop(w);
         let replayed = replay(&path).unwrap();

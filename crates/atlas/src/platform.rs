@@ -15,8 +15,7 @@ use crate::fleet::{FleetBuilder, FleetConfig};
 use crate::probe::{Probe, ProbeId};
 
 /// Platform construction parameters.
-#[derive(Debug, Clone)]
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PlatformConfig {
     /// Fleet synthesis parameters.
     pub fleet: FleetConfig,
@@ -28,7 +27,6 @@ pub struct PlatformConfig {
     /// Restrict to a single provider (`None` = all seven).
     pub provider: Option<Provider>,
 }
-
 
 impl PlatformConfig {
     /// A small configuration for tests and examples: a few hundred
@@ -168,25 +166,19 @@ impl Platform {
     /// plus — for probes on continents with low datacenter density
     /// (Africa, Latin America) — the `adjacent` nearest regions on the
     /// paper's designated adjacent continent.
-    pub fn targets_for(
-        &self,
-        probe: &Probe,
-        same_continent: usize,
-        adjacent: usize,
-    ) -> Vec<u16> {
-        let by_continent =
-            |continent: Continent, n: usize, out: &mut Vec<u16>| {
-                let mut candidates: Vec<(f64, u16)> = self
-                    .catalog
-                    .regions()
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| self.region_continents[*i] == continent)
-                    .map(|(i, r)| (probe.location.distance_km(r.location), i as u16))
-                    .collect();
-                candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                out.extend(candidates.into_iter().take(n).map(|(_, i)| i));
-            };
+    pub fn targets_for(&self, probe: &Probe, same_continent: usize, adjacent: usize) -> Vec<u16> {
+        let by_continent = |continent: Continent, n: usize, out: &mut Vec<u16>| {
+            let mut candidates: Vec<(f64, u16)> = self
+                .catalog
+                .regions()
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| self.region_continents[*i] == continent)
+                .map(|(i, r)| (probe.location.distance_km(r.location), i as u16))
+                .collect();
+            candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            out.extend(candidates.into_iter().take(n).map(|(_, i)| i));
+        };
         let mut targets = Vec::with_capacity(same_continent + adjacent);
         by_continent(probe.continent, same_continent, &mut targets);
         for &adj in probe.continent.adjacent_measurement_targets() {

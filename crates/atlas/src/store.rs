@@ -46,7 +46,15 @@ pub struct RttSample {
     pub received: u8,
 }
 
-crate::json_struct!(RttSample { probe, region, at, min_ms, avg_ms, sent, received });
+crate::json_struct!(RttSample {
+    probe,
+    region,
+    at,
+    min_ms,
+    avg_ms,
+    sent,
+    received
+});
 
 impl RttSample {
     /// Whether at least one reply arrived.

@@ -74,15 +74,27 @@ impl TagFilter {
     /// Conjunction match: every included tag present, no excluded tag
     /// present. (Atlas `tags=a,b` semantics.)
     pub fn matches(&self, probe_tags: &[String]) -> bool {
-        self.include.iter().all(|t| probe_tags.iter().any(|p| p == t))
-            && !self.exclude.iter().any(|t| probe_tags.iter().any(|p| p == t))
+        self.include
+            .iter()
+            .all(|t| probe_tags.iter().any(|p| p == t))
+            && !self
+                .exclude
+                .iter()
+                .any(|t| probe_tags.iter().any(|p| p == t))
     }
 
     /// Disjunction match over the include set (any included tag present)
     /// plus the exclude check. Used for "any wireless tag" selections.
     pub fn matches_any(&self, probe_tags: &[String]) -> bool {
-        (self.include.is_empty() || self.include.iter().any(|t| probe_tags.iter().any(|p| p == t)))
-            && !self.exclude.iter().any(|t| probe_tags.iter().any(|p| p == t))
+        (self.include.is_empty()
+            || self
+                .include
+                .iter()
+                .any(|t| probe_tags.iter().any(|p| p == t)))
+            && !self
+                .exclude
+                .iter()
+                .any(|t| probe_tags.iter().any(|p| p == t))
     }
 
     /// The paper's privileged-location exclusion filter.

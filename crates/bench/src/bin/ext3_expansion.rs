@@ -30,7 +30,10 @@ fn run(year: Option<u16>, scale: Scale) -> (Platform, shears_atlas::ResultStore)
 
 fn main() {
     let scale = Scale::from_env();
-    eprintln!("[ext3] scale: {} probes x {} rounds, two campaigns", scale.probes, scale.rounds);
+    eprintln!(
+        "[ext3] scale: {} probes x {} rounds, two campaigns",
+        scale.probes, scale.rounds
+    );
 
     let (p2010, s2010) = run(Some(2010), scale);
     eprintln!(

@@ -43,7 +43,12 @@ fn main() {
             pct(row.raw_utilization),
             pct(row.reduced_utilization),
             pct(row.saving_fraction),
-            if row.edge_materially_helps() { "yes" } else { "no" }.to_string(),
+            if row.edge_materially_helps() {
+                "yes"
+            } else {
+                "no"
+            }
+            .to_string(),
         ]);
     }
     print!("{}", t.render());

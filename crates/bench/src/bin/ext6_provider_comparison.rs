@@ -27,11 +27,7 @@ fn main() {
             }
             .to_string(),
         ];
-        cells.extend(
-            Continent::ALL
-                .iter()
-                .map(|&c| ms_opt(row.continent(c))),
-        );
+        cells.extend(Continent::ALL.iter().map(|&c| ms_opt(row.continent(c))));
         cells.push(ms_opt(row.global_median_ms));
         t.row(cells);
     }

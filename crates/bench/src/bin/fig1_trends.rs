@@ -13,12 +13,10 @@ fn main() {
     // Publication counts go through the scholar crawler, as in the
     // paper (reference [38]): synthetic service, real parsing/backoff.
     let mut scholar = ScholarService::from_dataset(&data, 0.15, 7);
-    let (cloud_pubs, cloud_stats) =
-        crawl_publications(&mut scholar, Keyword::CloudComputing, 20)
-            .expect("crawl within retry budget");
-    let (edge_pubs, edge_stats) =
-        crawl_publications(&mut scholar, Keyword::EdgeComputing, 20)
-            .expect("crawl within retry budget");
+    let (cloud_pubs, cloud_stats) = crawl_publications(&mut scholar, Keyword::CloudComputing, 20)
+        .expect("crawl within retry budget");
+    let (edge_pubs, edge_stats) = crawl_publications(&mut scholar, Keyword::EdgeComputing, 20)
+        .expect("crawl within retry budget");
     eprintln!(
         "[fig1] scholar crawl: {} pages fetched, {} CAPTCHAs retried",
         cloud_stats.fetched + edge_stats.fetched,
@@ -49,5 +47,7 @@ fn main() {
     for span in detect_eras(&data) {
         println!("  {:<10} {}-{}", span.era.name(), span.from, span.to);
     }
-    println!("(paper narrative: CDN era through the late 2000s, cloud era to ~2015, edge era after)");
+    println!(
+        "(paper narrative: CDN era through the late 2000s, cloud era to ~2015, edge era after)"
+    );
 }

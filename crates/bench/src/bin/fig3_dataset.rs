@@ -18,8 +18,7 @@ fn main() {
     let mut t = Table::new(vec!["provider", "regions", "countries", "backbone"]);
     for p in Provider::ALL {
         let regions: Vec<_> = catalog.by_provider(p).collect();
-        let countries: std::collections::BTreeSet<_> =
-            regions.iter().map(|r| r.country).collect();
+        let countries: std::collections::BTreeSet<_> = regions.iter().map(|r| r.country).collect();
         t.row(vec![
             p.to_string(),
             regions.len().to_string(),

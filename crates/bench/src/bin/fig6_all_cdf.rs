@@ -41,7 +41,13 @@ fn main() {
     print!("\n{}", chart.render());
 
     let mut t = Table::new(vec![
-        "continent", "n", "p25", "median", "mean", "p75", "p95",
+        "continent",
+        "n",
+        "p25",
+        "median",
+        "mean",
+        "p75",
+        "p95",
     ]);
     for (c, s) in cdfs.summaries() {
         if let Some(s) = s {
@@ -59,7 +65,11 @@ fn main() {
     print!("\n{}", t.render());
 
     println!("\npaper checkpoints:");
-    for c in [Continent::NorthAmerica, Continent::Europe, Continent::Oceania] {
+    for c in [
+        Continent::NorthAmerica,
+        Continent::Europe,
+        Continent::Oceania,
+    ] {
         println!(
             "  {c}: rounds below PL (paper: >75%): {}",
             pct(cdfs.fraction_within(c, 100.0))

@@ -11,8 +11,8 @@ use shears_netsim::SimTime;
 fn main() {
     let (platform, store) = campaign_prologue("fig7");
     let data = view(&platform, &store);
-    let report = last_mile_report(&data, SimTime::from_hours(6))
-        .expect("fleet contains both tagged sets");
+    let report =
+        last_mile_report(&data, SimTime::from_hours(6)).expect("fleet contains both tagged sets");
 
     println!(
         "matched countries: {} | wired probes: {} | wireless probes: {}",

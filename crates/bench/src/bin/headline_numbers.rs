@@ -24,7 +24,10 @@ fn main() {
     t.row(vec![
         "countries above PL".to_string(),
         "16 (mostly Africa)".to_string(),
-        format!("{} ({} African)", h.countries_above_pl, h.countries_above_pl_african),
+        format!(
+            "{} ({} African)",
+            h.countries_above_pl, h.countries_above_pl_african
+        ),
     ]);
     t.row(vec![
         "EU probes within MTP".to_string(),

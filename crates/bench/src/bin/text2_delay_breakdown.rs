@@ -12,7 +12,11 @@ fn main() {
     let platform = build_platform(scale);
     let report = delay_breakdown(&platform, 200, 5, 0xDE1A);
 
-    let mut headers = vec!["continent".to_string(), "probes".to_string(), "median RTT".to_string()];
+    let mut headers = vec![
+        "continent".to_string(),
+        "probes".to_string(),
+        "median RTT".to_string(),
+    ];
     headers.extend(Segment::ALL.iter().map(|s| format!("{} ms", s.label())));
     let mut t = Table::new(headers);
     for row in &report.rows {

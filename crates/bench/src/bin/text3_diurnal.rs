@@ -13,7 +13,10 @@ fn main() {
     let data = view(&platform, &store);
 
     let profile = diurnal_profile(&data);
-    println!("diurnal profile ({} samples, probe-local time):", profile.samples);
+    println!(
+        "diurnal profile ({} samples, probe-local time):",
+        profile.samples
+    );
     let mut t = Table::new(vec!["local hour", "median RTT ms"]);
     for (h, v) in profile.buckets.iter().enumerate() {
         t.row(vec![format!("{h:02}:00"), ms_opt(*v)]);

@@ -14,9 +14,7 @@
 #![warn(missing_docs)]
 
 use shears_analysis::CampaignData;
-use shears_atlas::{
-    Campaign, CampaignConfig, FleetConfig, Platform, PlatformConfig, ResultStore,
-};
+use shears_atlas::{Campaign, CampaignConfig, FleetConfig, Platform, PlatformConfig, ResultStore};
 
 /// Campaign scale: fleet size × rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -18,14 +18,16 @@ impl Catalog {
     pub fn global() -> Self {
         let regions = REGION_TABLE
             .iter()
-            .map(|&(provider, code, city, country, lat, lon, launched)| Region {
-                provider,
-                code,
-                city,
-                country,
-                location: GeoPoint::new(lat, lon),
-                launched,
-            })
+            .map(
+                |&(provider, code, city, country, lat, lon, launched)| Region {
+                    provider,
+                    code,
+                    city,
+                    country,
+                    location: GeoPoint::new(lat, lon),
+                    launched,
+                },
+            )
             .collect();
         Self { regions }
     }

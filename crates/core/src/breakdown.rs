@@ -223,7 +223,11 @@ mod tests {
         for c in [Continent::Europe, Continent::NorthAmerica] {
             let row = r.continent(c).unwrap();
             let access = row.share(Segment::Access);
-            for seg in [Segment::Metro, Segment::NationalBackbone, Segment::Datacenter] {
+            for seg in [
+                Segment::Metro,
+                Segment::NationalBackbone,
+                Segment::Datacenter,
+            ] {
                 assert!(
                     access >= row.share(seg),
                     "{c}: access {access} < {seg:?} {}",
@@ -240,8 +244,9 @@ mod tests {
         let r = report();
         let eu = r.continent(Continent::Europe).unwrap();
         let af = r.continent(Continent::Africa).unwrap();
-        let core =
-            |row: &BreakdownRow| row.share(Segment::Interconnect) + row.share(Segment::NationalBackbone);
+        let core = |row: &BreakdownRow| {
+            row.share(Segment::Interconnect) + row.share(Segment::NationalBackbone)
+        };
         assert!(
             core(af) > core(eu),
             "Africa core share {} should exceed EU {}",

@@ -71,11 +71,7 @@ pub fn population_coverage(data: &CampaignData<'_>, apps: &[Application]) -> Cov
     let measured: Vec<(&str, f64, f64)> = data
         .frame()
         .country_minima()
-        .filter_map(|(code, rtt)| {
-            atlas
-                .by_code(code)
-                .map(|c| (c.code, c.population_m, rtt))
-        })
+        .filter_map(|(code, rtt)| atlas.by_code(code).map(|c| (c.code, c.population_m, rtt)))
         .collect();
     let total_pop: f64 = measured.iter().map(|(_, p, _)| p).sum();
     let n_countries = measured.len() as f64;

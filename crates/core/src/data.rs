@@ -111,7 +111,9 @@ impl<'a> CampaignData<'a> {
         // to the platform's strings so callers outlive this borrow.
         let mut canon: HashMap<&str, &'a str> = HashMap::new();
         for p in self.platform.probes() {
-            canon.entry(p.country.as_str()).or_insert(p.country.as_str());
+            canon
+                .entry(p.country.as_str())
+                .or_insert(p.country.as_str());
         }
         self.frame()
             .country_minima()
@@ -125,9 +127,7 @@ impl<'a> CampaignData<'a> {
     /// probe as the region with the lowest campaign-wide minimum.
     /// Served from the frame's cached resolution, in store order.
     pub fn samples_to_closest_dc(&self) -> Vec<(&'a Probe, f64)> {
-        self.frame()
-            .closest_dc(self.platform, self.store)
-            .collect()
+        self.frame().closest_dc(self.platform, self.store).collect()
     }
 }
 
@@ -162,9 +162,7 @@ mod tests {
     fn filtered_excludes_privileged_probes() {
         let (platform, store) = data();
         let view = CampaignData::new(&platform, &store);
-        assert!(view
-            .filtered()
-            .all(|(p, _)| !p.is_privileged()));
+        assert!(view.filtered().all(|(p, _)| !p.is_privileged()));
         // And the raw store does contain some privileged samples to
         // prove the filter does something (4 % of a decent fleet).
         let privileged_ids: std::collections::HashSet<_> = platform

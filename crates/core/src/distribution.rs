@@ -144,7 +144,11 @@ mod tests {
         }
         // Africa is the worst continent.
         let af_med = cdfs.continent(Continent::Africa).unwrap().median().unwrap();
-        for c in [Continent::NorthAmerica, Continent::Europe, Continent::Oceania] {
+        for c in [
+            Continent::NorthAmerica,
+            Continent::Europe,
+            Continent::Oceania,
+        ] {
             let med = cdfs.continent(c).unwrap().median().unwrap();
             assert!(af_med > med, "{c} median {med} >= Africa {af_med}");
         }

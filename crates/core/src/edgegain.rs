@@ -61,10 +61,7 @@ impl EdgeGainReport {
 ///
 /// `max_probes_per_continent` caps the work (probes are taken in fleet
 /// order, which is country-interleaved enough for a floor study).
-pub fn edge_gain_study(
-    platform: &mut Platform,
-    max_probes_per_continent: usize,
-) -> EdgeGainReport {
+pub fn edge_gain_study(platform: &mut Platform, max_probes_per_continent: usize) -> EdgeGainReport {
     // 1. Deploy edge everywhere: one site per metro PoP.
     let metro_codes: Vec<String> = platform
         .countries()
@@ -123,14 +120,7 @@ pub fn edge_gain_study(
         // evaluating all 101 would be exact but slow; the nearest 8 by
         // geography always contain the latency-nearest DC in practice.
         let mut candidates: Vec<(f64, usize)> = (0..dc_count)
-            .map(|i| {
-                (
-                    probe
-                        .location
-                        .distance_km(platform.region(i).location),
-                    i,
-                )
-            })
+            .map(|i| (probe.location.distance_km(platform.region(i).location), i))
             .collect();
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
         let cloud_floor = candidates

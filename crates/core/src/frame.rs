@@ -162,9 +162,7 @@ impl CampaignFrame {
                 let mut lo = 0usize;
                 while lo < n_rows {
                     let hi = (lo + chunk).min(n_rows);
-                    handles.push(
-                        s.spawn(move || scan_shard(store, lo, hi, privileged, n_probes)),
-                    );
+                    handles.push(s.spawn(move || scan_shard(store, lo, hi, privileged, n_probes)));
                     lo = hi;
                 }
                 handles
@@ -764,7 +762,10 @@ mod tests {
             .country_minima()
             .map(|(c, v)| {
                 (
-                    *country_ref.keys().find(|k| **k == c).expect("known country"),
+                    *country_ref
+                        .keys()
+                        .find(|k| **k == c)
+                        .expect("known country"),
                     v,
                 )
             })

@@ -103,7 +103,13 @@ impl GroupedMinima {
 /// One row of the grouped scan — the sequential update rule every
 /// variant must reproduce exactly.
 #[inline(always)]
-fn scan_row(cols: &ScanCols<'_>, privileged: &[bool], base: u32, i: usize, out: &mut GroupedMinima) {
+fn scan_row(
+    cols: &ScanCols<'_>,
+    privileged: &[bool],
+    base: u32,
+    i: usize,
+    out: &mut GroupedMinima,
+) {
     let p = cols.probes[i].index();
     out.counts[p] += 1;
     if privileged[p] {
@@ -155,13 +161,7 @@ fn bucket_of(v: f64, min: f64, inv_width_b: f64, buckets: usize) -> usize {
 /// Shared tail of the bucketed selection: gather the candidate bucket
 /// and select the exact rank inside it. `counts` is the bucket
 /// histogram, `k` the global rank among finite values.
-fn select_in_bucket(
-    values: &[f64],
-    counts: &[u32],
-    k: usize,
-    min: f64,
-    inv_width_b: f64,
-) -> f64 {
+fn select_in_bucket(values: &[f64], counts: &[u32], k: usize, min: f64, inv_width_b: f64) -> f64 {
     let buckets = counts.len();
     let mut before = 0usize;
     let mut target = buckets - 1;
@@ -389,7 +389,10 @@ mod tests {
     }
 
     fn adversarial_f64(len: usize, seed: u64) -> Vec<f64> {
-        adversarial_f32(len, seed).iter().map(|&v| f64::from(v)).collect()
+        adversarial_f32(len, seed)
+            .iter()
+            .map(|&v| f64::from(v))
+            .collect()
     }
 
     /// Lengths around the chunk boundaries, plus empty.
@@ -424,7 +427,9 @@ mod tests {
         let flat = vec![13.5f64; 100];
         assert_eq!(percentile(&flat, 0.5), Some(13.5));
         // Mixed zeros: total_cmp ordering must hold at the boundary.
-        let zeros: Vec<f64> = (0..50).map(|i| if i % 2 == 0 { 0.0 } else { -0.0 }).collect();
+        let zeros: Vec<f64> = (0..50)
+            .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+            .collect();
         let e = Ecdf::new(zeros.clone());
         for q in [0.0, 0.3, 0.5, 0.9, 1.0] {
             assert_eq!(
@@ -594,7 +599,11 @@ mod tests {
 
         // The store's chunked responded count agrees with the row pass.
         let responded_ref = store.received().iter().filter(|&&r| r != 0).count();
-        assert_eq!(store.responded_len(), responded_ref, "{what}: responded_len");
+        assert_eq!(
+            store.responded_len(),
+            responded_ref,
+            "{what}: responded_len"
+        );
     }
 
     /// Kernel acceptance grid: over the same 20-seed × 3-profile chaos

@@ -123,7 +123,10 @@ pub fn last_mile_report(data: &CampaignData<'_>, bin_width: SimTime) -> Option<L
         .iter()
         .filter(|p| {
             matched.contains(p.country.as_str())
-                && match (frame.probe_min(p.id), country_median.get(p.country.as_str())) {
+                && match (
+                    frame.probe_min(p.id),
+                    country_median.get(p.country.as_str()),
+                ) {
                     (Some(b), Some(&m)) => b <= m * BASELINE_OUTLIER_FACTOR * 3.0,
                     _ => false,
                 }
@@ -229,7 +232,11 @@ mod tests {
         let data = CampaignData::new(&platform, &store);
         let report = last_mile_report(&data, SimTime::from_hours(6)).expect("both sets populated");
         assert!(report.ratio > 1.3, "ratio {} too small", report.ratio);
-        assert!(report.ratio < 6.0, "ratio {} implausibly large", report.ratio);
+        assert!(
+            report.ratio < 6.0,
+            "ratio {} implausibly large",
+            report.ratio
+        );
         // Added latency in the 10–40 ms window the paper cites (we allow
         // some slack on both sides for a small run).
         assert!(

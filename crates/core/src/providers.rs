@@ -106,8 +106,7 @@ pub fn controlled_city_comparison(
             .filter(|p| p.location.distance_km(region.location) >= min_distance_km)
             .take(max_probes)
         {
-            if let Some(path) = router.path(platform.probe_node(probe.id), platform.dc_node(idx))
-            {
+            if let Some(path) = router.path(platform.probe_node(probe.id), platform.dc_node(idx)) {
                 floors.push(
                     PathSampler::new(
                         path,
@@ -132,8 +131,7 @@ pub fn provider_comparison(platform: &Platform, max_probes: usize) -> ProviderRe
     let mut router = Router::new(platform.topology());
     let mut per_provider: HashMap<Provider, HashMap<Continent, Vec<f64>>> = HashMap::new();
     let regions = platform.catalog().regions();
-    for probe in platform.unprivileged_probes().take(max_probes)
-    {
+    for probe in platform.unprivileged_probes().take(max_probes) {
         for provider in Provider::ALL {
             // Nearest region of this provider by geography.
             let Some((idx, _)) = regions

@@ -143,10 +143,7 @@ impl AsciiCdfChart {
         let mut out = String::new();
         for (i, row) in grid.iter().enumerate() {
             let level = 100.0 * (1.0 - i as f64 / (self.height - 1) as f64);
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!("{level:>4.0}% |"),
-            );
+            let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{level:>4.0}% |"));
             out.extend(row.iter());
             // Trim per-row trailing spaces.
             while out.ends_with(' ') {
@@ -306,8 +303,11 @@ mod tests {
         chart.series("a", 'a', vec![(10.0, 0.5)]);
         chart.series("b", 'b', vec![(10.0, 0.5)]);
         let s = chart.render();
-        assert!(s.contains('+'), "overlap marker missing:
-{s}");
+        assert!(
+            s.contains('+'),
+            "overlap marker missing:
+{s}"
+        );
     }
 
     #[test]

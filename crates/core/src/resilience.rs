@@ -160,8 +160,7 @@ pub fn failure_study(
         if probes == 0 {
             continue;
         }
-        let failed_median =
-            kernels::median(&failed_ms).filter(|_| disconnected * 2 <= probes);
+        let failed_median = kernels::median(&failed_ms).filter(|_| disconnected * 2 <= probes);
         rows.push(ResilienceRow {
             continent,
             probes,

@@ -204,9 +204,7 @@ pub fn bootstrap_median_ci(
         .collect();
     medians.sort_unstable_by(f64::total_cmp);
     let alpha = (1.0 - level) / 2.0;
-    let idx = |q: f64| {
-        ((q * medians.len() as f64).floor() as usize).min(medians.len() - 1)
-    };
+    let idx = |q: f64| ((q * medians.len() as f64).floor() as usize).min(medians.len() - 1);
     Some(MedianCi {
         median: base.median()?,
         lo: medians[idx(alpha)],
@@ -375,7 +373,15 @@ mod tests {
 
     #[test]
     fn ks_two_pointer_matches_the_per_sample_reference() {
-        for (la, lb) in [(0, 5), (5, 0), (1, 1), (7, 31), (64, 64), (100, 3), (257, 199)] {
+        for (la, lb) in [
+            (0, 5),
+            (5, 0),
+            (1, 1),
+            (7, 31),
+            (64, 64),
+            (100, 3),
+            (257, 199),
+        ] {
             for seed in 0..10u64 {
                 let a = Ecdf::new(random_samples(la, seed));
                 let b = Ecdf::new(random_samples(lb, seed.wrapping_mul(31) + 5));
@@ -401,7 +407,12 @@ mod tests {
 
     /// The pre-selection bootstrap: full sort per resample. The new
     /// path must reproduce it bit for bit on every seed.
-    fn bootstrap_reference(samples: &[f64], resamples: u32, level: f64, seed: u64) -> Option<MedianCi> {
+    fn bootstrap_reference(
+        samples: &[f64],
+        resamples: u32,
+        level: f64,
+        seed: u64,
+    ) -> Option<MedianCi> {
         let base = Ecdf::new(samples.to_vec());
         if base.is_empty() {
             return None;

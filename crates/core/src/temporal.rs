@@ -39,14 +39,8 @@ impl DiurnalProfile {
         if present.len() < 12 {
             return None;
         }
-        let min = present
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))?
-            .0;
-        let max = present
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))?
-            .0;
+        let min = present.iter().min_by(|a, b| a.1.total_cmp(&b.1))?.0;
+        let max = present.iter().max_by(|a, b| a.1.total_cmp(&b.1))?.0;
         Some((min, max))
     }
 
@@ -80,10 +74,7 @@ pub fn diurnal_profile(data: &CampaignData<'_>) -> DiurnalProfile {
     DiurnalProfile {
         // Selection-kernel medians: exact nearest-rank per bucket with
         // no per-bucket sort.
-        buckets: per_hour
-            .into_iter()
-            .map(|v| kernels::median(&v))
-            .collect(),
+        buckets: per_hour.into_iter().map(|v| kernels::median(&v)).collect(),
         samples,
     }
 }

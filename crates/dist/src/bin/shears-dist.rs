@@ -67,10 +67,14 @@ fn parse_args(it: &mut std::env::Args) -> Args {
             "--listen" => args.listen = val("--listen"),
             "--connect" => args.connect = val("--connect").parse().expect("--connect: addr"),
             "--platform-seed" => {
-                args.platform_seed = val("--platform-seed").parse().expect("--platform-seed: u64")
+                args.platform_seed = val("--platform-seed")
+                    .parse()
+                    .expect("--platform-seed: u64")
             }
             "--campaign-seed" => {
-                args.campaign_seed = val("--campaign-seed").parse().expect("--campaign-seed: u64")
+                args.campaign_seed = val("--campaign-seed")
+                    .parse()
+                    .expect("--campaign-seed: u64")
             }
             "--rounds" => args.rounds = val("--rounds").parse().expect("--rounds: u32"),
             "--shards" => args.shards = val("--shards").parse().expect("--shards: u32"),

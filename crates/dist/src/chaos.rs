@@ -138,7 +138,10 @@ mod tests {
         assert_eq!(p.take(0), None);
         assert_eq!(p.take(3), Some(ChaosAction::Kill));
         assert_eq!(p.take(3), None, "events are consumed");
-        assert_eq!(p.take(5), Some(ChaosAction::Hang(Duration::from_millis(10))));
+        assert_eq!(
+            p.take(5),
+            Some(ChaosAction::Hang(Duration::from_millis(10)))
+        );
         assert_eq!(p.remaining(), 0);
         assert!(p.is_empty());
     }

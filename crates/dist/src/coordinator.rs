@@ -136,7 +136,10 @@ impl<'p> Coordinator<'p> {
         let spec = WorkSpec {
             rounds: cfg.rounds,
             shard_count: ranges.len() as u32,
-            probe_ranges: ranges.iter().map(|r| (r.start as u32, r.end as u32)).collect(),
+            probe_ranges: ranges
+                .iter()
+                .map(|r| (r.start as u32, r.end as u32))
+                .collect(),
             header_wire: campaign.journal_header().to_wire(),
             heartbeat_interval: dcfg.heartbeat_interval,
             heartbeat_timeout: dcfg.heartbeat_timeout,

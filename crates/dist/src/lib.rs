@@ -108,7 +108,10 @@ impl std::fmt::Display for DistError {
             DistError::Io(e) => write!(f, "distributed campaign i/o failed: {e}"),
             DistError::Protocol(what) => write!(f, "work protocol violation: {what}"),
             DistError::CampaignMismatch => {
-                write!(f, "worker platform does not reproduce the coordinator's campaign")
+                write!(
+                    f,
+                    "worker platform does not reproduce the coordinator's campaign"
+                )
             }
         }
     }

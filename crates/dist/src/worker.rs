@@ -359,9 +359,15 @@ fn run_assignment_tcp(
 
     for (round, gross, refund, frame) in std::mem::take(&mut wal.resend) {
         let payload = work::frame_submit_payload(worker_id, a.shard, round, gross, refund, &frame);
-        if let Some(end) =
-            push_frame(stream, &mut inflight, round, &payload, window, a.shard, stats)?
-        {
+        if let Some(end) = push_frame(
+            stream,
+            &mut inflight,
+            round,
+            &payload,
+            window,
+            a.shard,
+            stats,
+        )? {
             return Ok(end);
         }
     }
@@ -387,15 +393,22 @@ fn run_assignment_tcp(
         wal.store.merge(frame.clone());
         wal.ledger.debit(gross)?;
         wal.ledger.refund(refund);
-        wal.writer.append_round(round, &wal.store, from, &wal.ledger)?;
+        wal.writer
+            .append_round(round, &wal.store, from, &wal.ledger)?;
         if kill_after_journal {
             return Ok(AssignmentEnd::Exit(WorkerExit::Killed));
         }
 
         let payload = work::frame_submit_payload(worker_id, a.shard, round, gross, refund, &frame);
-        if let Some(end) =
-            push_frame(stream, &mut inflight, round, &payload, window, a.shard, stats)?
-        {
+        if let Some(end) = push_frame(
+            stream,
+            &mut inflight,
+            round,
+            &payload,
+            window,
+            a.shard,
+            stats,
+        )? {
             return Ok(end);
         }
     }

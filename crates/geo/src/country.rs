@@ -193,7 +193,9 @@ impl CountryAtlas {
 
     /// All countries on the given continent.
     pub fn on_continent(&self, continent: Continent) -> impl Iterator<Item = &Country> {
-        self.countries.iter().filter(move |c| c.continent == continent)
+        self.countries
+            .iter()
+            .filter(move |c| c.continent == continent)
     }
 
     /// Number of countries in the atlas.

@@ -191,9 +191,13 @@ mod tests {
         let mut pts = Vec::new();
         let mut x: u64 = 0x9E3779B97F4A7C15;
         for _ in 0..500 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let lat = ((x >> 16) % 17000) as f64 / 100.0 - 85.0;
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let lon = ((x >> 16) % 36000) as f64 / 100.0 - 180.0;
             pts.push((lat, lon));
         }

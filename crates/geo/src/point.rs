@@ -60,8 +60,7 @@ impl GeoPoint {
         let (lat2, lon2) = (other.lat_rad(), other.lon_rad());
         let dlat = lat2 - lat1;
         let dlon = lon2 - lon1;
-        let a = (dlat / 2.0).sin().powi(2)
-            + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
         2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
     }
 
@@ -82,11 +81,9 @@ impl GeoPoint {
         let theta = bearing_deg.to_radians();
         let lat1 = self.lat_rad();
         let lon1 = self.lon_rad();
-        let lat2 =
-            (lat1.sin() * delta.cos() + lat1.cos() * delta.sin() * theta.cos()).asin();
+        let lat2 = (lat1.sin() * delta.cos() + lat1.cos() * delta.sin() * theta.cos()).asin();
         let lon2 = lon1
-            + (theta.sin() * delta.sin() * lat1.cos())
-                .atan2(delta.cos() - lat1.sin() * lat2.sin());
+            + (theta.sin() * delta.sin() * lat1.cos()).atan2(delta.cos() - lat1.sin() * lat2.sin());
         GeoPoint::new(lat2.to_degrees(), lon2.to_degrees())
     }
 
@@ -96,8 +93,7 @@ impl GeoPoint {
         let (lat2, lon2) = (other.lat_rad(), other.lon_rad());
         let bx = lat2.cos() * (lon2 - lon1).cos();
         let by = lat2.cos() * (lon2 - lon1).sin();
-        let lat3 = (lat1.sin() + lat2.sin())
-            .atan2(((lat1.cos() + bx).powi(2) + by.powi(2)).sqrt());
+        let lat3 = (lat1.sin() + lat2.sin()).atan2(((lat1.cos() + bx).powi(2) + by.powi(2)).sqrt());
         let lon3 = lon1 + by.atan2(lat1.cos() + bx);
         GeoPoint::new(lat3.to_degrees(), lon3.to_degrees())
     }
@@ -157,7 +153,10 @@ mod tests {
     fn antipodal_distance_is_half_circumference() {
         let a = GeoPoint::new(10.0, 20.0);
         let d = a.distance_km(a.antipode());
-        assert!(close(d, std::f64::consts::PI * EARTH_RADIUS_KM, 0.5), "d = {d}");
+        assert!(
+            close(d, std::f64::consts::PI * EARTH_RADIUS_KM, 0.5),
+            "d = {d}"
+        );
     }
 
     #[test]
@@ -175,7 +174,10 @@ mod tests {
             for dist in [0.5, 10.0, 500.0, 4000.0] {
                 let end = start.destination(bearing, dist);
                 let back = start.distance_km(end);
-                assert!(close(back, dist, 1e-6 * dist.max(1.0)), "b={bearing} d={dist} got {back}");
+                assert!(
+                    close(back, dist, 1e-6 * dist.max(1.0)),
+                    "b={bearing} d={dist} got {back}"
+                );
             }
         }
     }

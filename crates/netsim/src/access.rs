@@ -196,8 +196,9 @@ mod tests {
     #[test]
     fn lte_adds_10_to_40ms_rtt_over_ethernet() {
         // The paper cites 10–40 ms added latency for wireless last miles.
-        let added_rtt =
-            2.0 * (AccessTechnology::Lte.base_one_way_ms() - AccessTechnology::Ethernet.base_one_way_ms());
+        let added_rtt = 2.0
+            * (AccessTechnology::Lte.base_one_way_ms()
+                - AccessTechnology::Ethernet.base_one_way_ms());
         assert!(
             (10.0..=40.0).contains(&added_rtt),
             "LTE adds {added_rtt} ms RTT"

@@ -584,8 +584,7 @@ impl FaultPlan {
         h.write_u64(self.epochs.len() as u64);
         for epoch in &self.epochs {
             h.write_u64(epoch.start.as_nanos());
-            let mut disabled: Vec<usize> =
-                epoch.disabled.iter().map(|l| l.index()).collect();
+            let mut disabled: Vec<usize> = epoch.disabled.iter().map(|l| l.index()).collect();
             disabled.sort_unstable();
             h.write_u64(disabled.len() as u64);
             for link in disabled {
@@ -846,7 +845,11 @@ mod tests {
         plan.rebuild_epochs();
 
         let mut faulty = FaultRouter::new(&topo, &plan);
-        let healthy_links = faulty.path_at(probe, dc, SimTime::ZERO).unwrap().links.clone();
+        let healthy_links = faulty
+            .path_at(probe, dc, SimTime::ZERO)
+            .unwrap()
+            .links
+            .clone();
         let rerouted_links = faulty
             .path_at(probe, dc, SimTime::from_hours(15))
             .unwrap()
@@ -856,12 +859,8 @@ mod tests {
         assert_ne!(healthy_links, rerouted_links);
 
         // And it matches a plain router with the same disabled set.
-        let mut reference =
-            Router::with_disabled(&topo, [direct].into_iter().collect());
-        assert_eq!(
-            reference.path(probe, dc).unwrap().links,
-            rerouted_links
-        );
+        let mut reference = Router::with_disabled(&topo, [direct].into_iter().collect());
+        assert_eq!(reference.path(probe, dc).unwrap().links, rerouted_links);
     }
 
     #[test]
@@ -923,8 +922,14 @@ mod tests {
         // Overlap stacks additively.
         assert!((plan.extra_loss(LinkClass::Access, h(2)) - 0.07).abs() < 1e-12);
         assert_eq!(plan.extra_loss(LinkClass::MetroAggregation, h(2)), 0.0);
-        assert_eq!(plan.extra_latency_ms(LinkClass::TerrestrialBackbone, h(1)), 25.0);
-        assert_eq!(plan.extra_latency_ms(LinkClass::TerrestrialBackbone, h(2)), 0.0);
+        assert_eq!(
+            plan.extra_latency_ms(LinkClass::TerrestrialBackbone, h(1)),
+            25.0
+        );
+        assert_eq!(
+            plan.extra_latency_ms(LinkClass::TerrestrialBackbone, h(2)),
+            0.0
+        );
         assert!(plan.node_down(dc, h(5)));
         assert!(!plan.node_down(dc, h(6)), "windows are half-open");
         assert!(plan.any_active_at(h(5)));
@@ -956,14 +961,21 @@ mod tests {
         let b = FaultPlan::generate(&topo, &FaultConfig::chaos(), 42, horizon);
         let c = FaultPlan::generate(&topo, &FaultConfig::chaos(), 43, horizon);
         assert_eq!(a.digest(), b.digest(), "same schedule, same digest");
-        assert_ne!(a.digest(), c.digest(), "different schedule, different digest");
+        assert_ne!(
+            a.digest(),
+            c.digest(),
+            "different schedule, different digest"
+        );
         assert_ne!(
             FaultPlan::empty("x").digest(),
             a.digest(),
             "empty plan digests differently from a populated one"
         );
         // The empty digest is still stable across constructions.
-        assert_eq!(FaultPlan::empty("x").digest(), FaultPlan::empty("y").digest());
+        assert_eq!(
+            FaultPlan::empty("x").digest(),
+            FaultPlan::empty("y").digest()
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use fault::{FaultClass, FaultConfig, FaultPlan, FaultRouter};
 pub use ping::{PingConfig, PingOutcome, PingProber, RttBuf};
 pub use routing::{PathInfo, PathRef, RouteSource, RouteTable, Router};
 pub use tcp::{TcpConfig, TcpOutcome, TcpProber};
-pub use traceroute::{TracerouteOutcome, TracerouteProber};
 pub use time::SimTime;
 pub use topology::{LinkClass, LinkId, NodeId, NodeKind, Topology};
+pub use traceroute::{TracerouteOutcome, TracerouteProber};
 pub use worldnet::{WorldNet, WorldNetConfig};

@@ -1206,7 +1206,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.sent, 3);
-        assert!(out.received >= 1, "all three packets lost is implausible here");
+        assert!(
+            out.received >= 1,
+            "all three packets lost is implausible here"
+        );
         let path = prober.route(probe, dc).unwrap();
         let sampler = PathSampler::from_ref(path, &t, Some(dsl()), DiurnalLoad::residential());
         let floor = sampler.floor_rtt_ms();

@@ -678,9 +678,7 @@ impl RouteSource<'_> {
         match self {
             RouteSource::Dynamic(router) => router.path(from, to).map(PathInfo::as_path_ref),
             RouteSource::Shared(table) => table.path(from, to),
-            RouteSource::Faulty(faulty) => {
-                faulty.path_at(from, to, t).map(PathInfo::as_path_ref)
-            }
+            RouteSource::Faulty(faulty) => faulty.path_at(from, to, t).map(PathInfo::as_path_ref),
         }
     }
 }

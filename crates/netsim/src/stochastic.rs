@@ -177,7 +177,9 @@ mod tests {
     fn bounded_pareto_is_right_skewed() {
         let mut rng = SimRng::new(13);
         let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.bounded_pareto(50.0, 2000.0, 1.2)).collect();
+        let samples: Vec<f64> = (0..n)
+            .map(|_| rng.bounded_pareto(50.0, 2000.0, 1.2))
+            .collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let mut sorted = samples.clone();
         sorted.sort_by(f64::total_cmp);

@@ -205,7 +205,10 @@ mod tests {
                 one_shot += 1;
             }
         }
-        assert!(one_shot > n * 9 / 10, "only {one_shot}/{n} one-shot connects");
+        assert!(
+            one_shot > n * 9 / 10,
+            "only {one_shot}/{n} one-shot connects"
+        );
     }
 
     #[test]

@@ -635,7 +635,9 @@ mod tests {
         // Private backbones must be both cleaner and less congestible
         // than the public classes — this ordering is what produces the
         // paper's provider-class differences.
-        assert!(LinkClass::PrivateBackbone.base_loss() < LinkClass::TerrestrialBackbone.base_loss());
+        assert!(
+            LinkClass::PrivateBackbone.base_loss() < LinkClass::TerrestrialBackbone.base_loss()
+        );
         assert!(
             LinkClass::PrivateBackbone.congestion_sensitivity()
                 < LinkClass::SubmarineCable.congestion_sensitivity()

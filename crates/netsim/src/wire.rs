@@ -255,10 +255,7 @@ mod tests {
         pkt[last] ^= 0xFF;
         assert_eq!(EchoPacket::parse(&pkt), Err(WireError::BadChecksum));
         // Truncation.
-        assert_eq!(
-            EchoPacket::parse(&pkt[..10]),
-            Err(WireError::Truncated)
-        );
+        assert_eq!(EchoPacket::parse(&pkt[..10]), Err(WireError::Truncated));
         // Wrong version nibble.
         let mut pkt = EchoPacket::atlas_default(true, 1, 1).encode();
         pkt[0] = 0x46;
@@ -269,7 +266,7 @@ mod tests {
     fn parse_rejects_non_icmp_protocol() {
         let mut pkt = EchoPacket::atlas_default(true, 1, 1).encode();
         pkt[9] = 6; // TCP
-        // Re-fix the header checksum so the protocol check is reached.
+                    // Re-fix the header checksum so the protocol check is reached.
         pkt[10] = 0;
         pkt[11] = 0;
         let csum = internet_checksum(&pkt[..IPV4_HEADER_LEN]);

@@ -34,49 +34,224 @@ struct Hub {
 /// The interconnection hubs. Indices are referenced by `HUB_LINKS`.
 const HUBS: &[Hub] = &[
     // North America (0-6)
-    Hub { name: "Ashburn", country: "US", lat: 39.0, lon: -77.5 },
-    Hub { name: "New York", country: "US", lat: 40.7, lon: -74.0 },
-    Hub { name: "Chicago", country: "US", lat: 41.9, lon: -87.6 },
-    Hub { name: "Dallas", country: "US", lat: 32.8, lon: -96.8 },
-    Hub { name: "Los Angeles", country: "US", lat: 34.1, lon: -118.2 },
-    Hub { name: "Seattle", country: "US", lat: 47.6, lon: -122.3 },
-    Hub { name: "Miami", country: "US", lat: 25.8, lon: -80.2 },
+    Hub {
+        name: "Ashburn",
+        country: "US",
+        lat: 39.0,
+        lon: -77.5,
+    },
+    Hub {
+        name: "New York",
+        country: "US",
+        lat: 40.7,
+        lon: -74.0,
+    },
+    Hub {
+        name: "Chicago",
+        country: "US",
+        lat: 41.9,
+        lon: -87.6,
+    },
+    Hub {
+        name: "Dallas",
+        country: "US",
+        lat: 32.8,
+        lon: -96.8,
+    },
+    Hub {
+        name: "Los Angeles",
+        country: "US",
+        lat: 34.1,
+        lon: -118.2,
+    },
+    Hub {
+        name: "Seattle",
+        country: "US",
+        lat: 47.6,
+        lon: -122.3,
+    },
+    Hub {
+        name: "Miami",
+        country: "US",
+        lat: 25.8,
+        lon: -80.2,
+    },
     // Latin America (7-10)
-    Hub { name: "Mexico City", country: "MX", lat: 19.4, lon: -99.1 },
-    Hub { name: "Sao Paulo", country: "BR", lat: -23.5, lon: -46.6 },
-    Hub { name: "Buenos Aires", country: "AR", lat: -34.6, lon: -58.4 },
-    Hub { name: "Santiago", country: "CL", lat: -33.4, lon: -70.6 },
+    Hub {
+        name: "Mexico City",
+        country: "MX",
+        lat: 19.4,
+        lon: -99.1,
+    },
+    Hub {
+        name: "Sao Paulo",
+        country: "BR",
+        lat: -23.5,
+        lon: -46.6,
+    },
+    Hub {
+        name: "Buenos Aires",
+        country: "AR",
+        lat: -34.6,
+        lon: -58.4,
+    },
+    Hub {
+        name: "Santiago",
+        country: "CL",
+        lat: -33.4,
+        lon: -70.6,
+    },
     // Europe (11-18)
-    Hub { name: "London", country: "GB", lat: 51.5, lon: -0.1 },
-    Hub { name: "Amsterdam", country: "NL", lat: 52.4, lon: 4.9 },
-    Hub { name: "Frankfurt", country: "DE", lat: 50.1, lon: 8.7 },
-    Hub { name: "Paris", country: "FR", lat: 48.9, lon: 2.4 },
-    Hub { name: "Madrid", country: "ES", lat: 40.4, lon: -3.7 },
-    Hub { name: "Marseille", country: "FR", lat: 43.3, lon: 5.4 },
-    Hub { name: "Stockholm", country: "SE", lat: 59.3, lon: 18.1 },
-    Hub { name: "Warsaw", country: "PL", lat: 52.2, lon: 21.0 },
+    Hub {
+        name: "London",
+        country: "GB",
+        lat: 51.5,
+        lon: -0.1,
+    },
+    Hub {
+        name: "Amsterdam",
+        country: "NL",
+        lat: 52.4,
+        lon: 4.9,
+    },
+    Hub {
+        name: "Frankfurt",
+        country: "DE",
+        lat: 50.1,
+        lon: 8.7,
+    },
+    Hub {
+        name: "Paris",
+        country: "FR",
+        lat: 48.9,
+        lon: 2.4,
+    },
+    Hub {
+        name: "Madrid",
+        country: "ES",
+        lat: 40.4,
+        lon: -3.7,
+    },
+    Hub {
+        name: "Marseille",
+        country: "FR",
+        lat: 43.3,
+        lon: 5.4,
+    },
+    Hub {
+        name: "Stockholm",
+        country: "SE",
+        lat: 59.3,
+        lon: 18.1,
+    },
+    Hub {
+        name: "Warsaw",
+        country: "PL",
+        lat: 52.2,
+        lon: 21.0,
+    },
     // Middle East / Africa (19-23)
-    Hub { name: "Dubai", country: "AE", lat: 25.2, lon: 55.3 },
-    Hub { name: "Cairo", country: "EG", lat: 30.0, lon: 31.2 },
-    Hub { name: "Johannesburg", country: "ZA", lat: -26.2, lon: 28.0 },
-    Hub { name: "Nairobi", country: "KE", lat: -1.3, lon: 36.8 },
-    Hub { name: "Lagos", country: "NG", lat: 6.5, lon: 3.4 },
+    Hub {
+        name: "Dubai",
+        country: "AE",
+        lat: 25.2,
+        lon: 55.3,
+    },
+    Hub {
+        name: "Cairo",
+        country: "EG",
+        lat: 30.0,
+        lon: 31.2,
+    },
+    Hub {
+        name: "Johannesburg",
+        country: "ZA",
+        lat: -26.2,
+        lon: 28.0,
+    },
+    Hub {
+        name: "Nairobi",
+        country: "KE",
+        lat: -1.3,
+        lon: 36.8,
+    },
+    Hub {
+        name: "Lagos",
+        country: "NG",
+        lat: 6.5,
+        lon: 3.4,
+    },
     // Asia (24-30)
-    Hub { name: "Mumbai", country: "IN", lat: 19.1, lon: 72.9 },
-    Hub { name: "Singapore", country: "SG", lat: 1.35, lon: 103.8 },
-    Hub { name: "Hong Kong", country: "HK", lat: 22.3, lon: 114.2 },
-    Hub { name: "Tokyo", country: "JP", lat: 35.7, lon: 139.7 },
-    Hub { name: "Seoul", country: "KR", lat: 37.6, lon: 127.0 },
-    Hub { name: "Moscow", country: "RU", lat: 55.8, lon: 37.6 },
-    Hub { name: "Chennai", country: "IN", lat: 13.1, lon: 80.3 },
+    Hub {
+        name: "Mumbai",
+        country: "IN",
+        lat: 19.1,
+        lon: 72.9,
+    },
+    Hub {
+        name: "Singapore",
+        country: "SG",
+        lat: 1.35,
+        lon: 103.8,
+    },
+    Hub {
+        name: "Hong Kong",
+        country: "HK",
+        lat: 22.3,
+        lon: 114.2,
+    },
+    Hub {
+        name: "Tokyo",
+        country: "JP",
+        lat: 35.7,
+        lon: 139.7,
+    },
+    Hub {
+        name: "Seoul",
+        country: "KR",
+        lat: 37.6,
+        lon: 127.0,
+    },
+    Hub {
+        name: "Moscow",
+        country: "RU",
+        lat: 55.8,
+        lon: 37.6,
+    },
+    Hub {
+        name: "Chennai",
+        country: "IN",
+        lat: 13.1,
+        lon: 80.3,
+    },
     // Oceania (31-32)
-    Hub { name: "Sydney", country: "AU", lat: -33.9, lon: 151.2 },
-    Hub { name: "Auckland", country: "NZ", lat: -36.8, lon: 174.8 },
+    Hub {
+        name: "Sydney",
+        country: "AU",
+        lat: -33.9,
+        lon: 151.2,
+    },
+    Hub {
+        name: "Auckland",
+        country: "NZ",
+        lat: -36.8,
+        lon: 174.8,
+    },
     // Additional European IXP hubs (33-34): MIX Milan and VIX Vienna,
     // both top-ten European exchanges; without them Italy and central
     // Europe detour via Marseille/Warsaw, which real paths do not.
-    Hub { name: "Milan", country: "IT", lat: 45.5, lon: 9.2 },
-    Hub { name: "Vienna", country: "AT", lat: 48.2, lon: 16.4 },
+    Hub {
+        name: "Milan",
+        country: "IT",
+        lat: 45.5,
+        lon: 9.2,
+    },
+    Hub {
+        name: "Vienna",
+        country: "AT",
+        lat: 48.2,
+        lon: 16.4,
+    },
 ];
 
 /// Hub adjacency: (a, b, submarine?, inflation). Terrestrial links model
@@ -84,39 +259,78 @@ const HUBS: &[Hub] = &[
 /// (transatlantic, transpacific, Europe–Asia via Suez, SAm–NAm, etc.).
 const HUB_LINKS: &[(usize, usize, bool, f64)] = &[
     // US mesh
-    (0, 1, false, 1.15), (0, 2, false, 1.2), (0, 6, false, 1.2),
-    (1, 2, false, 1.15), (2, 3, false, 1.15), (2, 5, false, 1.25),
-    (3, 4, false, 1.2), (3, 6, false, 1.2), (4, 5, false, 1.15),
+    (0, 1, false, 1.15),
+    (0, 2, false, 1.2),
+    (0, 6, false, 1.2),
+    (1, 2, false, 1.15),
+    (2, 3, false, 1.15),
+    (2, 5, false, 1.25),
+    (3, 4, false, 1.2),
+    (3, 6, false, 1.2),
+    (4, 5, false, 1.15),
     // Canada rides the US mesh via country attachment.
     // Mexico / LatAm
-    (3, 7, false, 1.25), (6, 8, true, 1.25), (6, 7, false, 1.3),
-    (8, 9, false, 1.25), (9, 10, false, 1.3), (10, 8, false, 1.4),
+    (3, 7, false, 1.25),
+    (6, 8, true, 1.25),
+    (6, 7, false, 1.3),
+    (8, 9, false, 1.25),
+    (9, 10, false, 1.3),
+    (10, 8, false, 1.4),
     (6, 10, true, 1.35),
     // Transatlantic
-    (1, 11, true, 1.1), (0, 14, true, 1.15), (1, 12, true, 1.12),
+    (1, 11, true, 1.1),
+    (0, 14, true, 1.15),
+    (1, 12, true, 1.12),
     // Europe mesh
-    (11, 12, false, 1.1), (11, 14, false, 1.1), (12, 13, false, 1.1),
-    (13, 14, false, 1.1), (14, 15, false, 1.15), (15, 16, false, 1.2),
-    (14, 16, false, 1.15), (13, 17, false, 1.2), (13, 18, false, 1.15),
-    (17, 18, false, 1.25), (18, 29, false, 1.3), (17, 29, false, 1.35),
+    (11, 12, false, 1.1),
+    (11, 14, false, 1.1),
+    (12, 13, false, 1.1),
+    (13, 14, false, 1.1),
+    (14, 15, false, 1.15),
+    (15, 16, false, 1.2),
+    (14, 16, false, 1.15),
+    (13, 17, false, 1.2),
+    (13, 18, false, 1.15),
+    (17, 18, false, 1.25),
+    (18, 29, false, 1.3),
+    (17, 29, false, 1.35),
     // Europe–Middle East–Asia (Suez route)
-    (16, 20, true, 1.2), (20, 19, true, 1.25), (19, 24, true, 1.2),
-    (24, 30, false, 1.3), (30, 25, true, 1.2), (24, 25, true, 1.25),
-    (25, 26, true, 1.15), (26, 27, true, 1.2), (26, 28, true, 1.25),
-    (27, 28, true, 1.15), (27, 4, true, 1.15), (27, 5, true, 1.15),
-    (26, 25, true, 1.15), (29, 27, false, 1.6),
+    (16, 20, true, 1.2),
+    (20, 19, true, 1.25),
+    (19, 24, true, 1.2),
+    (24, 30, false, 1.3),
+    (30, 25, true, 1.2),
+    (24, 25, true, 1.25),
+    (25, 26, true, 1.15),
+    (26, 27, true, 1.2),
+    (26, 28, true, 1.25),
+    (27, 28, true, 1.15),
+    (27, 4, true, 1.15),
+    (27, 5, true, 1.15),
+    (26, 25, true, 1.15),
+    (29, 27, false, 1.6),
     // Africa: coastal cables + thin inland
-    (16, 23, true, 1.35), (20, 22, true, 1.4), (22, 21, true, 1.35),
-    (23, 21, true, 1.45), (19, 22, true, 1.35), (21, 31, true, 1.5),
+    (16, 23, true, 1.35),
+    (20, 22, true, 1.4),
+    (22, 21, true, 1.35),
+    (23, 21, true, 1.45),
+    (19, 22, true, 1.35),
+    (21, 31, true, 1.5),
     // South Atlantic: the SACS/SAIL systems (Fortaleza-side reached via
     // the Sao Paulo hub) give South America its only non-NA corridor.
     (8, 23, true, 1.5),
     // Oceania
-    (25, 31, true, 1.25), (31, 32, true, 1.15), (4, 31, true, 1.2),
+    (25, 31, true, 1.25),
+    (31, 32, true, 1.15),
+    (4, 31, true, 1.2),
     (32, 4, true, 1.25),
     // Milan / Vienna meshing into the European core
-    (33, 16, false, 1.15), (33, 13, false, 1.15), (33, 34, false, 1.2),
-    (34, 13, false, 1.15), (34, 18, false, 1.2), (33, 14, false, 1.2),
+    (33, 16, false, 1.15),
+    (33, 13, false, 1.15),
+    (33, 34, false, 1.2),
+    (34, 13, false, 1.15),
+    (34, 18, false, 1.2),
+    (33, 14, false, 1.2),
 ];
 
 /// Configuration for world synthesis.
@@ -181,8 +395,7 @@ impl WorldNet {
         let mut metro_pops: HashMap<String, Vec<NodeId>> = HashMap::new();
         let mut metro_grid: SpatialGrid<NodeId> = SpatialGrid::new(5.0);
         for country in atlas.countries() {
-            let pop_node =
-                topo.add_node(NodeKind::BackbonePop, country.centroid, country.code);
+            let pop_node = topo.add_node(NodeKind::BackbonePop, country.centroid, country.code);
             national_pop.insert(country.code.to_string(), pop_node);
 
             // Attach to nearest hubs with quality-derived inflation.
@@ -312,24 +525,17 @@ impl WorldNet {
         let router = self
             .topo
             .add_node(NodeKind::AccessRouter, location, country_code);
-        self.topo.connect_with_delay(
-            probe,
-            router,
-            LinkClass::Access,
-            access.floor_one_way_ms(),
-        );
+        self.topo
+            .connect_with_delay(probe, router, LinkClass::Access, access.floor_one_way_ms());
         let metro = self
             .metro_pops
             .get(country_code)
             .and_then(|metros| {
-                metros
-                    .iter()
-                    .copied()
-                    .min_by(|&a, &b| {
-                        location
-                            .distance_km(self.topo.node(a).location)
-                            .total_cmp(&location.distance_km(self.topo.node(b).location))
-                    })
+                metros.iter().copied().min_by(|&a, &b| {
+                    location
+                        .distance_km(self.topo.node(a).location)
+                        .total_cmp(&location.distance_km(self.topo.node(b).location))
+                })
             })
             .or_else(|| self.nearest_metro(location))
             .expect("world has at least one metro PoP");
@@ -360,14 +566,11 @@ impl WorldNet {
             .metro_pops
             .get(country_code)
             .and_then(|metros| {
-                metros
-                    .iter()
-                    .copied()
-                    .min_by(|&a, &b| {
-                        location
-                            .distance_km(self.topo.node(a).location)
-                            .total_cmp(&location.distance_km(self.topo.node(b).location))
-                    })
+                metros.iter().copied().min_by(|&a, &b| {
+                    location
+                        .distance_km(self.topo.node(a).location)
+                        .total_cmp(&location.distance_km(self.topo.node(b).location))
+                })
             })
             .or_else(|| self.nearest_metro(location));
         if let Some(metro) = metro {
@@ -398,7 +601,8 @@ impl WorldNet {
                 } else {
                     1.18
                 };
-                self.topo.connect(dc, hub, LinkClass::PrivateBackbone, inflation);
+                self.topo
+                    .connect(dc, hub, LinkClass::PrivateBackbone, inflation);
             }
         } else {
             // Public-transit providers attach at the single nearest hub.
@@ -464,11 +668,7 @@ mod tests {
         let de = net.national_pop("DE").unwrap();
         for c in atlas.countries() {
             let pop = net.national_pop(c.code).unwrap();
-            assert!(
-                router.path(de, pop).is_some(),
-                "no path DE -> {}",
-                c.code
-            );
+            assert!(router.path(de, pop).is_some(), "no path DE -> {}", c.code);
         }
     }
 
@@ -535,7 +735,10 @@ mod tests {
                     Some(AccessLink::new(AccessTechnology::Ftth, 1.0)),
                     DiurnalLoad::residential(),
                     SimTime::from_hours(4),
-                    &PingConfig { packets: 5, ..Default::default() },
+                    &PingConfig {
+                        packets: 5,
+                        ..Default::default()
+                    },
                     rng,
                 )
                 .unwrap()
@@ -596,7 +799,9 @@ mod tests {
         let (_, net) = world();
         let info = net.hub_info();
         assert_eq!(info.len(), net.hubs().len());
-        assert!(info.iter().any(|(name, cc, _)| *name == "Frankfurt" && *cc == "DE"));
+        assert!(info
+            .iter()
+            .any(|(name, cc, _)| *name == "Frankfurt" && *cc == "DE"));
         assert!(info.iter().any(|(name, _, _)| *name == "Milan"));
         // Ids line up with the node table.
         for (_, cc, id) in info {

@@ -216,8 +216,7 @@ mod tests {
     #[test]
     fn crawl_survives_throttling_with_retries() {
         let mut svc = service(0.4);
-        let (series, stats) =
-            crawl_publications(&mut svc, Keyword::CloudComputing, 50).unwrap();
+        let (series, stats) = crawl_publications(&mut svc, Keyword::CloudComputing, 50).unwrap();
         assert!(stats.throttled > 0, "40% throttle must bite");
         assert_eq!(series.values.len(), 16);
         // Recovered counts still match ground truth (retries, not guesses).

@@ -164,7 +164,10 @@ mod tests {
     fn cloud_peaks_before_edge_rises() {
         let d = TrendDataset::figure1(2);
         let cloud_peak = d.cloud_search.peak_year();
-        assert!((2010..=2013).contains(&cloud_peak), "cloud peak {cloud_peak}");
+        assert!(
+            (2010..=2013).contains(&cloud_peak),
+            "cloud peak {cloud_peak}"
+        );
         // Edge is still climbing at the end of the window.
         assert_eq!(d.edge_search.peak_year(), 2019);
         assert_eq!(d.edge_pubs.peak_year(), 2019);

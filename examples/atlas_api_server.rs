@@ -21,8 +21,8 @@ fn main() {
         },
         ..PlatformConfig::default()
     });
-    let server = ApiServer::spawn("127.0.0.1:0", AtlasService::new(platform))
-        .expect("bind ephemeral port");
+    let server =
+        ApiServer::spawn("127.0.0.1:0", AtlasService::new(platform)).expect("bind ephemeral port");
     println!("API server listening on http://{}", server.local_addr());
 
     let client = ApiClient::new(server.local_addr());

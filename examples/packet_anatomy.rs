@@ -59,7 +59,10 @@ fn main() {
     // 2. The path.
     let mut router = Router::new(platform.topology());
     let path = router
-        .path(platform.probe_node(probe.id), platform.dc_node(target as usize))
+        .path(
+            platform.probe_node(probe.id),
+            platform.dc_node(target as usize),
+        )
         .expect("connected");
     println!(
         "route: probe #{} ({}, {}) -> {} — {} hops, {:.2} ms one-way floor",

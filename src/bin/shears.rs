@@ -94,16 +94,42 @@ fn cmd_headline(opts: &Options) -> ExitCode {
     let data = CampaignData::new(&platform, &store);
     let h = headline_numbers(&data);
     let mut t = Table::new(vec!["statistic", "paper", "measured"]);
-    t.row(vec!["countries < 10 ms".into(), "32".into(), h.countries_under_10ms.to_string()]);
-    t.row(vec!["countries 10-20 ms".into(), "21".into(), h.countries_10_to_20ms.to_string()]);
-    t.row(vec!["countries above PL".into(), "16".into(), h.countries_above_pl.to_string()]);
-    t.row(vec!["EU within MTP".into(), "~80%".into(), pct(h.eu_probes_within_mtp)]);
-    t.row(vec!["NA within MTP".into(), "~80%".into(), pct(h.na_probes_within_mtp)]);
-    t.row(vec!["Africa within PL".into(), "~75%".into(), pct(h.africa_within_pl)]);
+    t.row(vec![
+        "countries < 10 ms".into(),
+        "32".into(),
+        h.countries_under_10ms.to_string(),
+    ]);
+    t.row(vec![
+        "countries 10-20 ms".into(),
+        "21".into(),
+        h.countries_10_to_20ms.to_string(),
+    ]);
+    t.row(vec![
+        "countries above PL".into(),
+        "16".into(),
+        h.countries_above_pl.to_string(),
+    ]);
+    t.row(vec![
+        "EU within MTP".into(),
+        "~80%".into(),
+        pct(h.eu_probes_within_mtp),
+    ]);
+    t.row(vec![
+        "NA within MTP".into(),
+        "~80%".into(),
+        pct(h.na_probes_within_mtp),
+    ]);
+    t.row(vec![
+        "Africa within PL".into(),
+        "~75%".into(),
+        pct(h.africa_within_pl),
+    ]);
     t.row(vec![
         "wireless/wired".into(),
         "~2.5x".into(),
-        h.wireless_ratio.map(|r| format!("{r:.2}x")).unwrap_or_else(|| "-".into()),
+        h.wireless_ratio
+            .map(|r| format!("{r:.2}x"))
+            .unwrap_or_else(|| "-".into()),
     ]);
     print!("{}", t.render());
     ExitCode::SUCCESS
@@ -156,7 +182,10 @@ fn cmd_trace(opts: &Options) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let platform = build(opts);
-    let Some(probe) = platform.probes().iter().find(|p| p.country == code && !p.is_privileged())
+    let Some(probe) = platform
+        .probes()
+        .iter()
+        .find(|p| p.country == code && !p.is_privileged())
     else {
         eprintln!("no probe in {code}");
         return ExitCode::FAILURE;
@@ -206,7 +235,10 @@ fn cmd_serve(opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("Atlas-style API listening on http://{}", server.local_addr());
+    println!(
+        "Atlas-style API listening on http://{}",
+        server.local_addr()
+    );
     println!("endpoints: /api/v2/probes /api/v2/regions /api/v2/measurements /api/v2/traceroutes /api/v2/credits");
     println!("press Ctrl-C to stop.");
     loop {

@@ -57,9 +57,8 @@ fn churn_against(config: ServerConfig) {
             let mut spent_total = 0u64;
             let mut refunded_total = 0u64;
             for region in 0..WRITER_MEASUREMENTS {
-                let body = format!(
-                    r#"{{"target_region": {region}, "rounds": 2, "probe_limit": 10}}"#
-                );
+                let body =
+                    format!(r#"{{"target_region": {region}, "rounds": 2, "probe_limit": 10}}"#);
                 let (status, resp) = client
                     .request("POST", "/api/v2/measurements", Some(body.as_bytes()))
                     .unwrap();
@@ -70,7 +69,11 @@ fn churn_against(config: ServerConfig) {
             }
             // Deleting one mid-flight must not disturb the others.
             let (status, _) = client
-                .request("DELETE", &format!("/api/v2/measurements/{WRITER_MEASUREMENTS}"), None)
+                .request(
+                    "DELETE",
+                    &format!("/api/v2/measurements/{WRITER_MEASUREMENTS}"),
+                    None,
+                )
                 .unwrap();
             assert_eq!(status, 204);
             (spent_total, refunded_total)
@@ -107,8 +110,9 @@ fn churn_against(config: ServerConfig) {
                              ({balance} after {last_balance}) in reader {t}"
                         );
                         last_balance = balance;
-                        let (status, _) =
-                            session.request("GET", "/api/v2/measurements", None).unwrap();
+                        let (status, _) = session
+                            .request("GET", "/api/v2/measurements", None)
+                            .unwrap();
                         assert_eq!(status, 200);
                         for id in 1..=WRITER_MEASUREMENTS {
                             let (status, body) = session

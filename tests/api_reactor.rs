@@ -114,7 +114,8 @@ fn slowloris_does_not_starve_fast_sessions() {
         // the fast burst below runs.
         let dribble = b"host: t\r\nConnection: close\r\n\r\n";
         let mut slow = TcpStream::connect(addr).unwrap();
-        slow.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        slow.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         slow.write_all(b"GET /api/v2/credits HTTP/1.1\r\n").unwrap();
         let dribbler = std::thread::spawn(move || {
             for &b in dribble {
@@ -183,8 +184,7 @@ fn pipelined_pair_split_at_every_boundary_matches_oneshot() {
             let mut got = Vec::new();
             s.read_to_string_lossy(&mut got);
             assert_eq!(
-                got,
-                reference,
+                got, reference,
                 "split at byte {split} diverged from one-shot at {reactors} reactors"
             );
         }
@@ -210,8 +210,10 @@ fn mid_response_disconnect_never_kills_the_reactor() {
             s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             // A response large enough that the write outlives our
             // read, then vanish after the first byte.
-            s.write_all(b"GET /api/v2/probes?limit=500 HTTP/1.1\r\nhost: t\r\nConnection: close\r\n\r\n")
-                .unwrap();
+            s.write_all(
+                b"GET /api/v2/probes?limit=500 HTTP/1.1\r\nhost: t\r\nConnection: close\r\n\r\n",
+            )
+            .unwrap();
             let mut one = [0u8; 1];
             let _ = s.read(&mut one);
             // Drop mid-response: the server's remaining write hits a
@@ -240,8 +242,7 @@ fn slow_readers_hit_the_write_deadline_without_starving_fast_sessions() {
         let server = ApiServer::spawn_with(
             "127.0.0.1:0",
             service(),
-            ServerConfig::reactor(reactors, 2, 16)
-                .with_write_timeout(Duration::from_millis(400)),
+            ServerConfig::reactor(reactors, 2, 16).with_write_timeout(Duration::from_millis(400)),
         )
         .unwrap();
         let addr = server.local_addr();
@@ -252,7 +253,8 @@ fn slow_readers_hit_the_write_deadline_without_starving_fast_sessions() {
         // idle wheel never reaps, which is exactly why in-flight
         // writes carry their own deadline.
         let mut slow = TcpStream::connect(addr).unwrap();
-        slow.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        slow.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         slow.write_all(
             b"GET /api/v2/__debug/blob?bytes=33554432 HTTP/1.1\r\nhost: t\r\nConnection: close\r\n\r\n",
         )
@@ -306,20 +308,23 @@ fn overload_sheds_503_and_recovers_after_drain() {
         // One compute thread, one queue slot: trivially saturated.
         let server = spawn(reactors, 1, 1);
         let addr = server.local_addr();
-        let sleep_req: &[u8] =
-            b"GET /api/v2/__debug/sleep?ms=600 HTTP/1.1\r\nhost: t\r\n\r\n";
+        let sleep_req: &[u8] = b"GET /api/v2/__debug/sleep?ms=600 HTTP/1.1\r\nhost: t\r\n\r\n";
         let mut busy = TcpStream::connect(addr).unwrap();
-        busy.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        busy.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         busy.write_all(sleep_req).unwrap();
         std::thread::sleep(Duration::from_millis(150));
         let mut queued = TcpStream::connect(addr).unwrap();
-        queued.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        queued
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         queued.write_all(sleep_req).unwrap();
         std::thread::sleep(Duration::from_millis(150));
 
         // Queue full: an immediate 503 on a live connection...
         let mut shed = TcpStream::connect(addr).unwrap();
-        shed.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
+        shed.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
         shed.write_all(b"GET /api/v2/credits HTTP/1.1\r\nhost: t\r\n\r\n")
             .unwrap();
         let t0 = Instant::now();
@@ -339,7 +344,8 @@ fn overload_sheds_503_and_recovers_after_drain() {
 
         // After the queue drains, the same connection serves again.
         std::thread::sleep(Duration::from_millis(1_500));
-        shed.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        shed.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         shed.write_all(FAST_REQ).unwrap();
         let mut resp = Vec::new();
         shed.read_to_string_lossy(&mut resp);
@@ -362,9 +368,11 @@ fn drain_one_response(s: &mut TcpStream) {
         if need.is_none() {
             if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
                 let head = String::from_utf8_lossy(&buf[..end]);
-                let cl = head
-                    .lines()
-                    .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(|v| v.trim().parse::<usize>().unwrap()));
+                let cl = head.lines().find_map(|l| {
+                    l.to_ascii_lowercase()
+                        .strip_prefix("content-length:")
+                        .map(|v| v.trim().parse::<usize>().unwrap())
+                });
                 need = Some(end + 4 + cl.unwrap_or(0));
             }
         }
@@ -404,7 +412,9 @@ fn idle_soak_holds_thread_count_at_reactors_plus_pool() {
     for i in 0..sessions {
         match TcpStream::connect(addr) {
             Ok(s) => fleet.push(s),
-            Err(e) => panic!("fd budget exhausted at session {i}: {e} (lower SHEARS_SOAK_SESSIONS)"),
+            Err(e) => {
+                panic!("fd budget exhausted at session {i}: {e} (lower SHEARS_SOAK_SESSIONS)")
+            }
         }
     }
     // Wait until the reactor has adopted the whole fleet.
@@ -455,7 +465,11 @@ fn drain_rest_of_response(s: &mut TcpStream, head: &[u8; 12]) {
             let text = String::from_utf8_lossy(&buf[..end]);
             let cl: usize = text
                 .lines()
-                .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(|v| v.trim().parse().unwrap()))
+                .find_map(|l| {
+                    l.to_ascii_lowercase()
+                        .strip_prefix("content-length:")
+                        .map(|v| v.trim().parse().unwrap())
+                })
                 .unwrap_or(0);
             if buf.len() >= end + 4 + cl {
                 return;
@@ -475,7 +489,10 @@ fn drain_rest_of_response(s: &mut TcpStream, head: &[u8; 12]) {
 fn in_process(service: &AtlasService, raw: &[u8]) -> Vec<u8> {
     let mut wire = Vec::new();
     match read_request(&mut BufReader::new(raw)) {
-        Ok(req) => service.handle(&req).send(&mut wire, req.keep_alive()).unwrap(),
+        Ok(req) => service
+            .handle(&req)
+            .send(&mut wire, req.keep_alive())
+            .unwrap(),
         Err(HttpError::BadRequest(why)) => {
             Response::error(400, &why).send(&mut wire, false).unwrap()
         }
@@ -489,12 +506,8 @@ fn reactor_answers_bit_identical_bytes_to_the_in_process_reference() {
     // The reactor must be indistinguishable on the wire from parsing,
     // handling and serialising each request directly, across the whole
     // route surface, including error paths.
-    let reactor = ApiServer::spawn_with(
-        "127.0.0.1:0",
-        service(),
-        ServerConfig::reactor(2, 2, 16),
-    )
-    .unwrap();
+    let reactor =
+        ApiServer::spawn_with("127.0.0.1:0", service(), ServerConfig::reactor(2, 2, 16)).unwrap();
     let reference = service();
     let requests: &[&[u8]] = &[
         FAST_REQ,

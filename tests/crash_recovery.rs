@@ -93,14 +93,15 @@ fn kill_sweep(chaos: bool) {
             // Fault-free, the durable barrier loop must agree with the
             // plain sequential campaign bit-for-bit.
             let plain = Campaign::new(&platform, cfg).run().expect("plain run");
-            assert_eq!(plain, clean.store, "durable vs plain divergence at seed {seed}");
+            assert_eq!(
+                plain, clean.store,
+                "durable vs plain divergence at seed {seed}"
+            );
         }
 
         for kill in KILL_ROUNDS {
             for threads in THREADS {
-                let what = format!(
-                    "seed {seed} kill {kill} threads {threads} chaos {chaos}"
-                );
+                let what = format!("seed {seed} kill {kill} threads {threads} chaos {chaos}");
                 let path = tmp_journal("kill");
                 let crashing = DurabilityConfig {
                     crash_after_round: Some(kill),

@@ -50,7 +50,9 @@ fn campaign_seed_changes_samples_but_not_schedule() {
     // online: any (probe, region, at) key in both stores appears once.
     use std::collections::HashSet;
     let keys = |s: &ResultStore| -> HashSet<(ProbeId, u16, u64)> {
-        s.iter().map(|x| (x.probe, x.region, x.at.as_nanos())).collect()
+        s.iter()
+            .map(|x| (x.probe, x.region, x.at.as_nanos()))
+            .collect()
     };
     let ka = keys(&a);
     let kb = keys(&b);
@@ -707,8 +709,11 @@ fn columnar_store_accessors_agree_with_the_row_view() {
     assert_eq!(by_probe, by_probe_ref);
     let region = rows[0].region;
     let by_region: Vec<RttSample> = store.by_region(region).collect();
-    let by_region_ref: Vec<RttSample> =
-        rows.iter().filter(|s| s.region == region).copied().collect();
+    let by_region_ref: Vec<RttSample> = rows
+        .iter()
+        .filter(|s| s.region == region)
+        .copied()
+        .collect();
     assert_eq!(by_region, by_region_ref);
     let (from, to) = (SimTime::from_hours(1), SimTime::from_hours(10));
     let windowed: Vec<RttSample> = store.in_window(from, to).collect();
@@ -719,8 +724,7 @@ fn columnar_store_accessors_agree_with_the_row_view() {
         .collect();
     assert_eq!(windowed, windowed_ref);
     let responded: Vec<RttSample> = store.responded().collect();
-    let responded_ref: Vec<RttSample> =
-        rows.iter().filter(|s| s.responded()).copied().collect();
+    let responded_ref: Vec<RttSample> = rows.iter().filter(|s| s.responded()).copied().collect();
     assert_eq!(responded, responded_ref);
 
     // Aggregates.

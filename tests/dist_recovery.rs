@@ -23,7 +23,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use latency_shears::dist::{run_distributed, ChaosProxy, DistConfig, DistError, DistOutcome, FleetSpec};
+use latency_shears::dist::{
+    run_distributed, ChaosProxy, DistConfig, DistError, DistOutcome, FleetSpec,
+};
 use latency_shears::prelude::*;
 
 const SEEDS: [u64; 5] = [1, 2, 3, 5, 8];
@@ -78,7 +80,12 @@ fn tmp_wal_root(tag: &str) -> PathBuf {
     ))
 }
 
-fn run_fleet(seed: u64, fleet: FleetSpec, dcfg: DistConfig, tag: &str) -> Result<DistOutcome, DistError> {
+fn run_fleet(
+    seed: u64,
+    fleet: FleetSpec,
+    dcfg: DistConfig,
+    tag: &str,
+) -> Result<DistOutcome, DistError> {
     let root = tmp_wal_root(tag);
     let out = run_distributed(&tiny_cfg(seed), campaign_cfg(seed), dcfg, fleet, &root);
     let _ = std::fs::remove_dir_all(&root);
@@ -97,9 +104,21 @@ fn clean_baseline(seed: u64) -> DurableOutcome {
 
 fn assert_bit_identical(clean: &DurableOutcome, out: &DistOutcome, what: &str) {
     assert_eq!(clean.store, out.store, "distributed store diverges: {what}");
-    assert_eq!(clean.ledger.balance(), out.ledger.balance(), "balance drift: {what}");
-    assert_eq!(clean.ledger.spent(), out.ledger.spent(), "spend drift: {what}");
-    assert_eq!(clean.ledger.refunded(), out.ledger.refunded(), "refund drift: {what}");
+    assert_eq!(
+        clean.ledger.balance(),
+        out.ledger.balance(),
+        "balance drift: {what}"
+    );
+    assert_eq!(
+        clean.ledger.spent(),
+        out.ledger.spent(),
+        "spend drift: {what}"
+    );
+    assert_eq!(
+        clean.ledger.refunded(),
+        out.ledger.refunded(),
+        "refund drift: {what}"
+    );
     assert_eq!(
         out.ledger.balance() + out.ledger.spent(),
         CREDITS,
@@ -114,7 +133,9 @@ fn clean_fleets_of_every_size_merge_bit_identically() {
     // The durable barrier runner is itself pinned against the plain
     // sequential campaign, so one transitive check suffices here.
     let platform = Platform::build(&tiny_cfg(seed));
-    let plain = Campaign::new(&platform, campaign_cfg(seed)).run().expect("plain run");
+    let plain = Campaign::new(&platform, campaign_cfg(seed))
+        .run()
+        .expect("plain run");
     assert_eq!(plain, clean.store, "durable vs plain");
 
     for workers in [1usize, 2, 4, 8] {
@@ -144,8 +165,7 @@ fn kill_grid_shards_are_reassigned_to_survivors() {
         for kill in KILL_ROUNDS {
             for workers in WORKER_COUNTS {
                 let what = format!("seed {seed} kill {kill} workers {workers} reassign");
-                let fleet = FleetSpec::clean(workers)
-                    .with_chaos(0, ChaosProxy::kill_at(kill));
+                let fleet = FleetSpec::clean(workers).with_chaos(0, ChaosProxy::kill_at(kill));
                 let out = run_fleet(seed, fleet, dist_cfg(SHARDS), "reassign").expect(&what);
                 assert_bit_identical(&clean, &out, &what);
                 assert!(
@@ -197,12 +217,15 @@ fn kill_grid_restarted_workers_resume_from_their_wal() {
 fn hung_workers_are_detected_and_their_late_frames_deduplicated() {
     let seed = 11;
     let clean = clean_baseline(seed);
-    let fleet = FleetSpec::clean(2)
-        .with_chaos(0, ChaosProxy::hang_at(1, Duration::from_millis(500)));
+    let fleet =
+        FleetSpec::clean(2).with_chaos(0, ChaosProxy::hang_at(1, Duration::from_millis(500)));
     let out = run_fleet(seed, fleet, dist_cfg(SHARDS), "hang").expect("hang fleet");
     assert_bit_identical(&clean, &out, "hang");
     assert!(out.metrics.heartbeats_missed >= 1, "hang went undetected");
-    assert!(out.metrics.shards_reassigned >= 1, "hung shard never reassigned");
+    assert!(
+        out.metrics.shards_reassigned >= 1,
+        "hung shard never reassigned"
+    );
     assert!(
         out.metrics.duplicate_frames_dropped >= 1,
         "the revenant's late frames must be dropped as duplicates, got {:?}",
@@ -223,12 +246,19 @@ fn wedged_workers_blow_round_deadlines_and_get_fenced() {
         max_round_retries: 1,
         ..dist_cfg(SHARDS)
     };
-    let fleet = FleetSpec::clean(2)
-        .with_chaos(0, ChaosProxy::delay_at(1, Duration::from_millis(600)));
+    let fleet =
+        FleetSpec::clean(2).with_chaos(0, ChaosProxy::delay_at(1, Duration::from_millis(600)));
     let out = run_fleet(seed, fleet, dcfg, "delay").expect("delay fleet");
     assert_bit_identical(&clean, &out, "delay");
-    assert!(out.metrics.rounds_retried >= 1, "deadline never blew: {:?}", out.metrics);
-    assert!(out.metrics.shards_reassigned >= 1, "wedged shard never fenced");
+    assert!(
+        out.metrics.rounds_retried >= 1,
+        "deadline never blew: {:?}",
+        out.metrics
+    );
+    assert!(
+        out.metrics.shards_reassigned >= 1,
+        "wedged shard never fenced"
+    );
 }
 
 /// Degraded completion: the whole fleet dies and the campaign still
@@ -239,8 +269,7 @@ fn wedged_workers_blow_round_deadlines_and_get_fenced() {
 fn degraded_mode_attributes_lost_rounds_in_place() {
     let seed = 17;
     let clean = clean_baseline(seed);
-    let fleet = FleetSpec::clean(1)
-        .with_chaos(0, ChaosProxy::kill_at(1));
+    let fleet = FleetSpec::clean(1).with_chaos(0, ChaosProxy::kill_at(1));
     let out = run_fleet(seed, fleet, dist_cfg(SHARDS).degraded(), "degraded")
         .expect("degraded completion");
 
@@ -251,15 +280,26 @@ fn degraded_mode_attributes_lost_rounds_in_place() {
         "exactly the undelivered shard-rounds are lost: {:?}",
         out.metrics
     );
-    assert_eq!(clean.store.len(), out.store.len(), "lost rounds must not drop rows");
+    assert_eq!(
+        clean.store.len(),
+        out.store.len(),
+        "lost rounds must not drop rows"
+    );
     let mut delivered = 0usize;
     for (i, (c, d)) in clean.store.iter().zip(out.store.iter()).enumerate() {
-        assert_eq!((c.probe, c.region, c.at), (d.probe, d.region, d.at), "row {i} misaligned");
+        assert_eq!(
+            (c.probe, c.region, c.at),
+            (d.probe, d.region, d.at),
+            "row {i} misaligned"
+        );
         if d.sent > 0 {
             assert_eq!(c, d, "delivered row {i} diverges");
             delivered += 1;
         } else {
-            assert!(d.min_ms.is_infinite() && d.received == 0, "row {i} not marked lost");
+            assert!(
+                d.min_ms.is_infinite() && d.received == 0,
+                "row {i} not marked lost"
+            );
         }
     }
     assert!(delivered > 0, "the delivered round must survive verbatim");
@@ -274,8 +314,7 @@ fn degraded_mode_attributes_lost_rounds_in_place() {
 /// error naming the stalled round, instead of completing degraded.
 #[test]
 fn strict_mode_aborts_when_the_fleet_dies() {
-    let fleet = FleetSpec::clean(1)
-        .with_chaos(0, ChaosProxy::kill_at(1));
+    let fleet = FleetSpec::clean(1).with_chaos(0, ChaosProxy::kill_at(1));
     let err = run_fleet(17, fleet, dist_cfg(SHARDS), "strict")
         .expect_err("strict mode must refuse to complete");
     match err {
@@ -298,8 +337,14 @@ fn a_restarted_worker_resends_its_journaled_unsubmitted_round() {
     let fleet = FleetSpec::clean(1)
         .with_chaos(0, ChaosProxy::kill_after_journal_at(2))
         .restart_killed();
-    let out = run_distributed(&tiny_cfg(seed), campaign_cfg(seed), dist_cfg(2), fleet, &root)
-        .expect("restart-resume");
+    let out = run_distributed(
+        &tiny_cfg(seed),
+        campaign_cfg(seed),
+        dist_cfg(2),
+        fleet,
+        &root,
+    )
+    .expect("restart-resume");
     assert_bit_identical(&clean, &out, "restart-resume");
     assert_eq!(out.metrics.workers_registered, 2, "one restart expected");
     assert!(
@@ -336,8 +381,8 @@ fn slow_rounds_do_not_starve_heartbeats_into_a_false_fence() {
         round_timeout: Duration::from_millis(2_000),
         ..dist_cfg(SHARDS)
     };
-    let fleet = FleetSpec::clean(1)
-        .with_chaos(0, ChaosProxy::delay_at(1, Duration::from_millis(250)));
+    let fleet =
+        FleetSpec::clean(1).with_chaos(0, ChaosProxy::delay_at(1, Duration::from_millis(250)));
     let out = run_fleet(seed, fleet, dcfg, "slowround").expect(what);
     assert_bit_identical(&clean, &out, what);
     assert_eq!(
@@ -346,7 +391,10 @@ fn slow_rounds_do_not_starve_heartbeats_into_a_false_fence() {
     );
     assert_eq!(out.metrics.shards_reassigned, 0, "{what}: false fence");
     assert_eq!(out.metrics.rounds_retried, 0, "{what}: false deadline blow");
-    assert_eq!(out.metrics.workers_registered, 1, "{what}: phantom incarnation");
+    assert_eq!(
+        out.metrics.workers_registered, 1,
+        "{what}: phantom incarnation"
+    );
 }
 
 /// The pipelining win, visible without a stopwatch: a worker streaming
@@ -369,8 +417,14 @@ fn pipelined_streaming_pays_a_fraction_of_a_blocking_wait_per_frame() {
     let platform = Platform::build(&tiny_cfg(seed));
     let plain = Campaign::new(&platform, cfg).run().expect("plain run");
     let root = tmp_wal_root("pipeline");
-    let out = run_distributed(&tiny_cfg(seed), cfg, dist_cfg(2), FleetSpec::clean(1), &root)
-        .expect("pipelining fleet");
+    let out = run_distributed(
+        &tiny_cfg(seed),
+        cfg,
+        dist_cfg(2),
+        FleetSpec::clean(1),
+        &root,
+    )
+    .expect("pipelining fleet");
     let _ = std::fs::remove_dir_all(&root);
     assert_eq!(plain, out.store, "pipelining changed the bytes");
     let stats = out.worker_stats;

@@ -86,10 +86,16 @@ fn privileged_probes_never_reach_any_figure() {
         .filter(|p| p.is_privileged())
         .map(|p| p.id)
         .collect();
-    assert!(!privileged.is_empty(), "fleet should contain privileged probes");
+    assert!(
+        !privileged.is_empty(),
+        "fleet should contain privileged probes"
+    );
     let mins = data.per_probe_min();
     for id in privileged {
-        assert!(!mins.contains_key(&id), "privileged probe leaked into Fig. 5");
+        assert!(
+            !mins.contains_key(&id),
+            "privileged probe leaked into Fig. 5"
+        );
     }
 }
 

@@ -119,7 +119,10 @@ fn snapshot_platforms_preserve_analysis_invariants() {
         .iter()
         .filter(|&&c| cdfs.continent(c).is_some_and(|e| !e.is_empty()))
         .count();
-    assert!(populated >= 3, "2009: only {populated} continents populated");
+    assert!(
+        populated >= 3,
+        "2009: only {populated} continents populated"
+    );
     let report = population_coverage(&data, &driving_applications());
     assert!(report.population_measured_m > 1000.0);
 }
