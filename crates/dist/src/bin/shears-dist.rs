@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Workers stream completed rounds over one pipelined binary
-//! connection (in-flight window `--window 8`).
+//! connection, with up to 8 frames in flight.
 //!
 //! The coordinator exits when every round is merged (bit-identical to
 //! a sequential run) and prints the robustness counters; workers exit
@@ -42,7 +42,6 @@ struct Args {
     degraded: bool,
     wal: String,
     restart: bool,
-    window: usize,
 }
 
 fn parse_args(it: &mut std::env::Args) -> Args {
@@ -56,7 +55,6 @@ fn parse_args(it: &mut std::env::Args) -> Args {
         degraded: false,
         wal: "shears-dist-wal".into(),
         restart: false,
-        window: 8,
     };
     while let Some(flag) = it.next() {
         let mut val = |name: &str| {
@@ -81,7 +79,6 @@ fn parse_args(it: &mut std::env::Args) -> Args {
             "--degraded" => args.degraded = true,
             "--wal" => args.wal = val("--wal"),
             "--restart" => args.restart = true,
-            "--window" => args.window = val("--window").parse().expect("--window: usize"),
             other => panic!("unknown flag {other}"),
         }
     }
@@ -171,10 +168,7 @@ fn coordinator(args: Args) {
 
 fn worker(args: Args) {
     let platform = Platform::build(&PlatformConfig::quick(args.platform_seed));
-    let wcfg = WorkerConfig {
-        window: args.window,
-        ..WorkerConfig::new(&args.wal)
-    };
+    let wcfg = WorkerConfig::new(&args.wal);
     let mut chaos = ChaosProxy::none();
     let mut total = WorkerStats::default();
     loop {

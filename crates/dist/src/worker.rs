@@ -11,7 +11,7 @@
 //! the resend idempotent.
 //!
 //! The wire is one long-lived CRC-framed stream. Completed rounds are
-//! *pipelined* — up to [`WorkerConfig::window`] frames ride the wire
+//! *pipelined* — up to `WINDOW` (a constant 8) frames ride the wire
 //! unacked, verdicts come back asynchronously matched by
 //! `(shard, round)`, and the coordinator pushes fencing / Done / Abort
 //! down the stream instead of waiting for the next poll. Frames in the
@@ -37,8 +37,14 @@ use shears_atlas::{Campaign, CreditLedger, JournalHeader, Platform, ResultStore}
 use crate::chaos::{ChaosAction, ChaosProxy};
 use crate::DistError;
 
-/// Where (and how durably) a worker journals its shards, and how it
-/// talks to the coordinator.
+/// In-flight window: how many submitted frames may await their verdict
+/// before the worker blocks.
+const WINDOW: usize = 8;
+
+/// Socket connect/read/write timeout on the work stream.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Where (and how durably) a worker journals its shards.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
     /// Directory for the per-shard WALs (`shard-{n}.wal`); created on
@@ -48,11 +54,6 @@ pub struct WorkerConfig {
     /// fsync every append (crash-durable) vs. leave flushing to the OS
     /// (fast, test-friendly).
     pub fsync: bool,
-    /// Socket connect/read/write timeout on the work stream.
-    pub request_timeout: Duration,
-    /// In-flight window: how many submitted frames may await their
-    /// verdict before the worker blocks (default 8).
-    pub window: usize,
 }
 
 impl WorkerConfig {
@@ -61,8 +62,6 @@ impl WorkerConfig {
         Self {
             wal_dir: wal_dir.into(),
             fsync: false,
-            request_timeout: Duration::from_secs(10),
-            window: 8,
         }
     }
 }
@@ -255,7 +254,7 @@ fn tcp_incarnation(
 ) -> Result<WorkerExit, DistError> {
     stats.blocking_waits += 1; // connect + HELLO/WELCOME handshake
     let (mut stream, worker_id, hb_ms, header_wire) =
-        WorkStreamClient::connect(addr, wcfg.request_timeout, reconnect)?;
+        WorkStreamClient::connect(addr, REQUEST_TIMEOUT, reconnect)?;
     let header = JournalHeader::from_wire(&header_wire).map_err(DistError::Protocol)?;
     let campaign = Campaign::new(platform, header.config);
     let local = campaign.journal_header();
@@ -354,20 +353,11 @@ fn run_assignment_tcp(
     let mut ctx = campaign.shard_context(a.shard as usize, a.shard_count as usize);
     let shard_header = campaign.shard_header(&ctx);
     let mut wal = open_wal(&a, &shard_header, wcfg)?;
-    let window = wcfg.window.max(1);
     let mut inflight: Vec<u32> = Vec::new();
 
     for (round, gross, refund, frame) in std::mem::take(&mut wal.resend) {
         let payload = work::frame_submit_payload(worker_id, a.shard, round, gross, refund, &frame);
-        if let Some(end) = push_frame(
-            stream,
-            &mut inflight,
-            round,
-            &payload,
-            window,
-            a.shard,
-            stats,
-        )? {
+        if let Some(end) = push_frame(stream, &mut inflight, round, &payload, a.shard, stats)? {
             return Ok(end);
         }
     }
@@ -400,15 +390,7 @@ fn run_assignment_tcp(
         }
 
         let payload = work::frame_submit_payload(worker_id, a.shard, round, gross, refund, &frame);
-        if let Some(end) = push_frame(
-            stream,
-            &mut inflight,
-            round,
-            &payload,
-            window,
-            a.shard,
-            stats,
-        )? {
+        if let Some(end) = push_frame(stream, &mut inflight, round, &payload, a.shard, stats)? {
             return Ok(end);
         }
     }
@@ -436,7 +418,6 @@ fn push_frame(
     inflight: &mut Vec<u32>,
     round: u32,
     payload: &[u8],
-    window: usize,
     shard: u32,
     stats: &mut WorkerStats,
 ) -> Result<Option<AssignmentEnd>, DistError> {
@@ -445,9 +426,9 @@ fn push_frame(
             return Ok(Some(end));
         }
     }
-    if inflight.len() >= window {
+    if inflight.len() >= WINDOW {
         stats.blocking_waits += 1;
-        while inflight.len() >= window {
+        while inflight.len() >= WINDOW {
             let msg = stream.recv(Instant::now() + stream.timeout())?;
             if let Some(end) = on_stream_msg(msg, shard, inflight)? {
                 return Ok(Some(end));
