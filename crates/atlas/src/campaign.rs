@@ -89,19 +89,6 @@ impl CampaignConfig {
         }
     }
 
-    /// Derives a campaign configuration from an Atlas-style measurement
-    /// definition: the spec's interval, packet count, probe type and
-    /// duration (converted to rounds) override the defaults.
-    pub fn from_spec(spec: &crate::measurement::MeasurementSpec) -> Self {
-        Self {
-            rounds: spec.rounds().min(u64::from(u32::MAX)) as u32,
-            interval: spec.interval,
-            packets: spec.packets,
-            kind: spec.kind,
-            ..Self::paper_scale()
-        }
-    }
-
     /// Upper bound on the credits a full run can spend (each retry is a
     /// fresh debit, so the bound scales with the retry budget).
     pub fn credits_needed(&self, probes: usize, targets_per_probe_max: usize) -> u64 {
@@ -1002,16 +989,6 @@ mod tests {
         let store = Campaign::new(&p, cfg).run().unwrap();
         let end = SimTime::from_nanos(cfg.interval.as_nanos() * u64::from(cfg.rounds));
         assert!(store.ats().iter().all(|&at| at < end));
-    }
-
-    #[test]
-    fn from_spec_maps_measurement_definitions() {
-        let spec = crate::measurement::MeasurementSpec::paper_ping(7, 3, SimTime::from_days(9));
-        let cfg = CampaignConfig::from_spec(&spec);
-        assert_eq!(cfg.rounds, 9 * 8 + 1);
-        assert_eq!(cfg.interval, SimTime::from_hours(3));
-        assert_eq!(cfg.packets, 3);
-        assert_eq!(cfg.kind, MeasurementType::Ping);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! | probe (id, geo, tags, status) | [`Probe`] |
 //! | system/user tags (`ethernet`, `lte`, `datacentre`, …) | [`tags`] vocabulary + [`TagFilter`] |
 //! | the 3200-probe vantage fleet in 166 countries | [`FleetBuilder`] synthesis |
-//! | measurement definition (ping, interval, packets) | [`MeasurementSpec`] |
 //! | credits & quotas | [`CreditLedger`] |
 //! | result stream | [`RttSample`] in a [`ResultStore`] |
 //! | nine-month campaign | [`Campaign`] rounds behind a per-round barrier |
@@ -59,7 +58,7 @@ pub use campaign::{
 pub use credits::{CreditError, CreditLedger};
 pub use fleet::{FleetBuilder, FleetConfig};
 pub use journal::{JournalError, JournalHeader, JournalWriter, Replay, RoundMark};
-pub use measurement::{MeasurementSpec, MeasurementType};
+pub use measurement::MeasurementType;
 pub use platform::{Platform, PlatformConfig};
 pub use probe::{Probe, ProbeId};
 pub use recovery::{RetryPolicy, RetrySchedule};

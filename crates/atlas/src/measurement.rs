@@ -1,6 +1,4 @@
-//! Measurement definitions, mirroring the Atlas measurement API.
-
-use shears_netsim::SimTime;
+//! Measurement types, mirroring the Atlas measurement API.
 
 /// What kind of probe traffic a measurement sends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -9,75 +7,4 @@ pub enum MeasurementType {
     Ping,
     /// TCP connect-time probing (§5's planned extension).
     TcpConnect,
-}
-
-/// A measurement definition: what to measure, how often, for how long.
-///
-/// Matches the fields of the Atlas `POST /measurements` API that the
-/// paper's campaign uses: type, target, interval, packet count.
-#[derive(Debug, Clone)]
-pub struct MeasurementSpec {
-    /// Platform-assigned id.
-    pub id: u64,
-    /// Probe type.
-    pub kind: MeasurementType,
-    /// Index of the target region in the cloud catalogue.
-    pub target_region: usize,
-    /// Inter-round interval. The paper used three hours.
-    pub interval: SimTime,
-    /// Packets per round (Atlas ping default: 3).
-    pub packets: u32,
-    /// Total campaign duration.
-    pub duration: SimTime,
-}
-
-impl MeasurementSpec {
-    /// The paper's configuration: ping, every 3 h, 3 packets.
-    pub fn paper_ping(id: u64, target_region: usize, duration: SimTime) -> Self {
-        Self {
-            id,
-            kind: MeasurementType::Ping,
-            target_region,
-            interval: SimTime::from_hours(3),
-            packets: 3,
-            duration,
-        }
-    }
-
-    /// Number of rounds the spec schedules (floor of duration/interval,
-    /// plus the round at t = 0).
-    pub fn rounds(&self) -> u64 {
-        if self.interval == SimTime::ZERO {
-            return 1;
-        }
-        self.duration.as_nanos() / self.interval.as_nanos() + 1
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_ping_defaults() {
-        let spec = MeasurementSpec::paper_ping(1, 5, SimTime::from_days(270));
-        assert_eq!(spec.kind, MeasurementType::Ping);
-        assert_eq!(spec.packets, 3);
-        assert_eq!(spec.interval, SimTime::from_hours(3));
-        // Nine months at 8 rounds/day.
-        assert_eq!(spec.rounds(), 270 * 8 + 1);
-    }
-
-    #[test]
-    fn zero_interval_means_one_round() {
-        let spec = MeasurementSpec {
-            id: 1,
-            kind: MeasurementType::Ping,
-            target_region: 0,
-            interval: SimTime::ZERO,
-            packets: 3,
-            duration: SimTime::from_days(1),
-        };
-        assert_eq!(spec.rounds(), 1);
-    }
 }

@@ -42,11 +42,6 @@ impl Catalog {
         self.regions.iter().filter(move |r| r.provider == provider)
     }
 
-    /// Regions located in the given country.
-    pub fn in_country<'a>(&'a self, country: &'a str) -> impl Iterator<Item = &'a Region> {
-        self.regions.iter().filter(move |r| r.country == country)
-    }
-
     /// Regions on the given continent (country membership resolved
     /// through the country atlas).
     pub fn on_continent<'a>(

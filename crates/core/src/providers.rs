@@ -55,22 +55,6 @@ impl ProviderReport {
     pub fn provider(&self, p: Provider) -> Option<&ProviderRow> {
         self.rows.iter().find(|r| r.provider == p)
     }
-
-    /// Median of the private-backbone providers' global medians vs the
-    /// public-transit providers' — the structural split the paper
-    /// describes.
-    pub fn backbone_split(&self) -> (Option<f64>, Option<f64>) {
-        let collect = |private: bool| {
-            let v: Vec<f64> = self
-                .rows
-                .iter()
-                .filter(|r| r.provider.has_private_backbone() == private)
-                .filter_map(|r| r.global_median_ms)
-                .collect();
-            kernels::median(&v)
-        };
-        (collect(true), collect(false))
-    }
 }
 
 /// Footprint-controlled comparison: median floor RTT from distant

@@ -471,12 +471,6 @@ impl FaultPlan {
         &self.label
     }
 
-    /// Replace the label (builder-style), e.g. with the profile name.
-    pub fn with_label(mut self, label: &str) -> FaultPlan {
-        self.label = label.to_owned();
-        self
-    }
-
     /// True when the plan schedules no events at all.
     pub fn is_empty(&self) -> bool {
         self.cuts.is_empty()
