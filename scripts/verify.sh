@@ -2,7 +2,8 @@
 # Repo verification: build, tier-1 tests, and lint-as-error.
 #
 # Usage: scripts/verify.sh [profile]
-#   (default) — full build + tests + clippy + bench compile check
+#   (default) — full build + tests + rustfmt check + clippy + bench
+#               compile check
 #   chaos     — only the campaign determinism suite: the seed-matrix
 #               chaos grid, the passthrough-equivalence pin, the
 #               whole-store grids (ping/TCP × churn × 1/2/8 threads and
@@ -148,6 +149,9 @@ full)
 
     echo "==> cargo test"
     cargo test -q --workspace --locked --offline
+
+    echo "==> cargo fmt --check"
+    cargo fmt --all --check
 
     echo "==> cargo clippy (warnings are errors)"
     cargo clippy --workspace --all-targets --locked --offline -- -D warnings
