@@ -3,10 +3,13 @@
 //! [`ApiClient`] opens one connection per request (`Connection:
 //! close`), which keeps it state-free. [`ApiSession`] holds one
 //! keep-alive connection and issues requests back to back over it — the
-//! shape a load generator (or any high-throughput client) wants.
-//! Typed helpers wrap the endpoints the examples use.
+//! shape a load generator (or any high-throughput client) wants. Both
+//! read responses through [`ResponseParser`], the grammar the
+//! open-loop load generator uses too, so every response must carry
+//! `content-length` (ours always do). Typed helpers wrap the endpoints
+//! the examples use.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -16,6 +19,7 @@ use crate::dto::{
     CreateMeasurementDto, CreateTracerouteDto, MeasurementDto, ProbeDto, RegionDto, ResultDto,
     TracerouteDto,
 };
+use crate::http::{HttpError, ResponseParser};
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -108,22 +112,7 @@ impl ApiClient {
         stream.write_all(head.as_bytes())?;
         stream.write_all(body)?;
         stream.flush()?;
-
-        let mut reader = BufReader::new(stream);
-        let (status, content_length) = read_response_head(&mut reader)?;
-        let body = match content_length {
-            Some(len) => {
-                let mut buf = vec![0u8; len];
-                reader.read_exact(&mut buf)?;
-                buf
-            }
-            None => {
-                let mut buf = Vec::new();
-                reader.read_to_end(&mut buf)?;
-                buf
-            }
-        };
-        Ok((status, body))
+        read_response(&mut stream, &mut ResponseParser::new())
     }
 
     fn get_json<T: FromJson>(&self, path: &str) -> Result<T, ClientError> {
@@ -231,57 +220,48 @@ fn dropped_connection(e: &ClientError) -> bool {
     }
 }
 
-/// Reads one response's status line + headers, leaving the reader
-/// positioned at the body. Returns `(status, content_length)`.
-fn read_response_head<R: BufRead>(reader: &mut R) -> Result<(u16, Option<usize>), ClientError> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        // EOF before a single status byte: the peer closed the
-        // connection (stale keep-alive, restart). Surface it as the
-        // retryable io kind rather than a framing violation.
-        return Err(ClientError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed before the status line",
-        )));
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ClientError::Protocol(format!("bad status line {status_line:?}")))?;
-    let mut content_length: Option<usize> = None;
-    // One header-line scratch reused across the loop (and, for session
-    // readers, across requests via the BufReader) — header counts per
-    // response are small but load generators read millions of them.
-    let mut line = String::with_capacity(64);
+/// Reads from `stream` until `parser` completes one response and
+/// returns its `(status, body)`.
+fn read_response(
+    stream: &mut TcpStream,
+    parser: &mut ResponseParser,
+) -> Result<(u16, Vec<u8>), ClientError> {
+    let mut chunk = [0u8; 8192];
     loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
+        match parser.poll() {
+            Ok(Some(response)) => return Ok(response),
+            Ok(None) => {}
+            Err(HttpError::BadRequest(why)) => return Err(ClientError::Protocol(why)),
+            Err(e) => return Err(ClientError::Protocol(e.to_string())),
+        }
+        let n = match stream.read(&mut chunk) {
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
         if n == 0 {
-            return Err(ClientError::Protocol("truncated header section".into()));
+            // The peer closed the connection (stale keep-alive,
+            // restart): the retryable io kind, not a framing violation.
+            let why = if parser.is_idle() {
+                "connection closed before the status line"
+            } else {
+                "connection closed mid-response"
+            };
+            return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, why).into());
         }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = line.split_once(':') {
-            if k.trim().eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().ok();
-            }
-        }
+        parser.feed(&chunk[..n]);
     }
-    Ok((status, content_length))
 }
 
 /// A persistent keep-alive connection to the server.
 ///
 /// Requests are issued sequentially over one TCP connection, so a tight
-/// request loop pays no per-request connect/teardown — this is what the
-/// `api_load` bench drives. Responses must carry `content-length`
-/// (ours always do); the connection is unusable after an error.
+/// request loop pays no per-request connect/teardown. Responses must
+/// carry `content-length` (ours always do); the connection is unusable
+/// after an error.
 pub struct ApiSession {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    parser: ResponseParser,
     addr: SocketAddr,
     timeout: Duration,
 }
@@ -300,10 +280,9 @@ impl ApiSession {
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
         Ok(Self {
-            reader: BufReader::new(stream),
-            writer,
+            stream,
+            parser: ResponseParser::new(),
             addr,
             timeout,
         })
@@ -351,18 +330,12 @@ impl ApiSession {
             self.addr,
             body.len()
         );
-        self.writer.write_all(head.as_bytes())?;
+        self.stream.write_all(head.as_bytes())?;
         if !body.is_empty() {
-            self.writer.write_all(body)?;
+            self.stream.write_all(body)?;
         }
-        self.writer.flush()?;
-        let (status, content_length) = read_response_head(&mut self.reader)?;
-        let len = content_length.ok_or_else(|| {
-            ClientError::Protocol("keep-alive response without content-length".into())
-        })?;
-        let mut buf = vec![0u8; len];
-        self.reader.read_exact(&mut buf)?;
-        Ok((status, buf))
+        self.stream.flush()?;
+        read_response(&mut self.stream, &mut self.parser)
     }
 }
 

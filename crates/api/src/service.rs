@@ -1,32 +1,26 @@
 //! The API's application logic: routing plus measurement execution.
 //!
 //! Service state is sharded for the read path: a `RwLock` registry maps
-//! measurement ids to `Arc`'d entries, each with its own `RwLock`, so
-//! GET endpoints for different measurements never contend with each
-//! other — and never block behind a running campaign, which executes
-//! entirely outside any lock. The credit ledger and the id counter live
-//! behind their own small locks; no request ever holds a global one.
+//! measurement ids to `Arc`'d entries. A stored measurement never
+//! changes after insert, so GET endpoints read an entry without any
+//! lock once the registry lookup returns — and never block behind a
+//! running campaign, which executes entirely outside any lock. The
+//! credit ledger and the id counter live behind their own small locks;
+//! no request ever holds a global one.
 //!
-//! Stats are cached per entry, keyed by a results *epoch* that bumps
-//! whenever a measurement's samples change (e.g. the durable-resume
-//! path replacing them with a longer recovered run): repeated
-//! `GET /stats` for an unchanged measurement is an O(1) lookup and
-//! never rebuilds the analysis frame ([`AtlasService::frame_builds`]
-//! counts rebuilds, pinning that in tests).
-//!
-//! Since the columnar refactor each entry also retains its analysis
-//! frame. Samples live in a columnar [`ResultStore`], and a durable
-//! resume that *strictly extends* them (the recovered copy starts with
-//! the rows already in memory) feeds [`CampaignFrame::append`] — O(new
-//! samples) — instead of a cold full rebuild. Only a replace or shrink
-//! bumps the *generation* that invalidates the retained frame; the
-//! extend ⇒ append, replace ⇒ rebuild split is pinned by the
-//! [`AtlasService::frame_appends`] counter.
+//! Each entry's stats are computed once, from one
+//! [`CampaignFrame::build`] over its columnar [`ResultStore`], and kept
+//! in the entry: repeated `GET /stats` is a lookup
+//! ([`AtlasService::frame_builds`] counts builds, pinning that in
+//! tests). A durable resume that finds a longer copy of a measurement
+//! replaces the whole entry, so the new samples start with no stats.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 use shears_analysis::CampaignFrame;
 use shears_atlas::journal::{
@@ -87,44 +81,21 @@ struct StoredMeasurement {
     fault_profile: Option<String>,
     retried_rounds: usize,
     store: ResultStore,
-    /// Bumps whenever the samples change at all (in-memory only, never
-    /// persisted): the stats-cache key.
-    epoch: u64,
-    /// Bumps only when the samples change in a way that is *not* a
-    /// strict extension (replace / shrink): the retained-frame key. An
-    /// extension keeps the generation, so the stats path appends to the
-    /// retained frame instead of rebuilding it.
-    generation: u64,
 }
 
-/// The analysis frame an entry retains across stats computations,
-/// tagged with the sample generation it indexes.
-struct FrameCache {
-    generation: u64,
-    frame: CampaignFrame,
-}
-
-/// One measurement behind its own lock. Readers of different
-/// measurements touch different entries and never contend.
+/// One measurement. Its samples never change after insert, so readers
+/// share it without a lock; a longer durable copy replaces the entry.
 struct MeasurementEntry {
-    data: RwLock<StoredMeasurement>,
-    /// `(epoch, stats)` for the most recent computation; serves
-    /// repeated stats GETs without touching the analysis frame until
-    /// the measurement changes. Lock order: `data` before the caches,
-    /// `stats_cache` before `frame_cache`.
-    stats_cache: Mutex<Option<(u64, MeasurementStatsDto)>>,
-    /// The retained frame. Same-generation stores only ever gain rows,
-    /// so a stale frame here is caught up with `append`; a generation
-    /// mismatch forces a rebuild.
-    frame_cache: Mutex<Option<FrameCache>>,
+    data: StoredMeasurement,
+    /// The stats, filled by the first `GET /stats` from one frame build.
+    stats: OnceLock<MeasurementStatsDto>,
 }
 
 impl MeasurementEntry {
-    fn new(m: StoredMeasurement) -> Arc<Self> {
+    fn new(data: StoredMeasurement) -> Arc<Self> {
         Arc::new(Self {
-            data: RwLock::new(m),
-            stats_cache: Mutex::new(None),
-            frame_cache: Mutex::new(None),
+            data,
+            stats: OnceLock::new(),
         })
     }
 }
@@ -141,9 +112,6 @@ pub struct AtlasService {
     /// `CampaignFrame::build` calls made by the stats path; see
     /// [`AtlasService::frame_builds`].
     frame_builds: AtomicU64,
-    /// `CampaignFrame::append` calls made by the stats path; see
-    /// [`AtlasService::frame_appends`].
-    frame_appends: AtomicU64,
     seed: u64,
     durability: Option<PathBuf>,
     /// Serve `/api/v2/__debug/*` (sleep, panic). Off by default; the
@@ -168,7 +136,6 @@ impl AtlasService {
             ledger: Mutex::new(CreditLedger::new(INITIAL_CREDITS)),
             next_id: AtomicU64::new(1),
             frame_builds: AtomicU64::new(0),
-            frame_appends: AtomicU64::new(0),
             seed: 0xA71_A50A1,
             durability: None,
             debug_routes: false,
@@ -229,21 +196,12 @@ impl AtlasService {
         lock(&self.ledger).balance()
     }
 
-    /// How many times the stats path has rebuilt an analysis frame.
-    /// Repeated `GET /stats` for an unchanged measurement must leave
-    /// this flat — the epoch-keyed cache short-circuits them; it only
-    /// moves when a measurement is first summarised or gains samples.
+    /// How many times the stats path has built an analysis frame.
+    /// Repeated `GET /stats` for a measurement must leave this flat —
+    /// the entry keeps its stats; it only moves when a measurement is
+    /// first summarised, including after a resume replaced it.
     pub fn frame_builds(&self) -> u64 {
         self.frame_builds.load(Ordering::Relaxed)
-    }
-
-    /// How many times the stats path has *appended* to a retained frame
-    /// instead of rebuilding it. A durable resume that strictly extends
-    /// a measurement's samples must move this counter, not
-    /// [`AtlasService::frame_builds`] — N appended rounds cost one
-    /// build plus N appends, never a rebuild.
-    pub fn frame_appends(&self) -> u64 {
-        self.frame_appends.load(Ordering::Relaxed)
     }
 
     /// The entry for `id`, if any. The registry lock is released before
@@ -361,7 +319,7 @@ impl AtlasService {
         entries.sort_by_key(|(id, _)| *id);
         let dtos: Vec<MeasurementDto> = entries
             .iter()
-            .map(|(id, e)| self.measurement_dto(*id, &read(&e.data)))
+            .map(|(id, e)| self.measurement_dto(*id, &e.data))
             .collect();
         Response::json(&dtos)
     }
@@ -505,8 +463,6 @@ impl AtlasService {
             fault_profile: spec.fault_profile.clone(),
             retried_rounds,
             store,
-            epoch: 0,
-            generation: 0,
         };
         let dto = self.measurement_dto(id, &stored);
         if spec.durability {
@@ -566,7 +522,11 @@ impl AtlasService {
         std::fs::rename(&tmp, &path)
     }
 
-    fn load_measurement(bytes: &[u8]) -> Option<(u64, StoredMeasurement)> {
+    /// Decodes one measurement file. `None` when it fails its checksum
+    /// or decode, or names a region or probe the serving platform does
+    /// not have: a directory written by a service over another platform
+    /// must not put an out-of-range index in front of the handlers.
+    fn load_measurement(&self, bytes: &[u8]) -> Option<(u64, StoredMeasurement)> {
         let body = bytes.strip_prefix(MEASUREMENT_MAGIC.as_slice())?;
         let (payload, _) = read_frame(body, 0).ok()??;
         let mut r = ByteReader::new(payload);
@@ -585,7 +545,12 @@ impl AtlasService {
             None
         };
         let store = get_samples_wire(&mut r).ok()?;
-        Some((
+        let n_regions = self.platform.catalog().regions().len();
+        let n_probes = self.platform.probes().len();
+        let in_range = target_region < n_regions
+            && store.regions().iter().all(|&r| usize::from(r) < n_regions)
+            && store.probes().iter().all(|p| p.index() < n_probes);
+        in_range.then_some((
             id,
             StoredMeasurement {
                 target_region,
@@ -595,8 +560,6 @@ impl AtlasService {
                 fault_profile,
                 retried_rounds,
                 store,
-                epoch: 0,
-                generation: 0,
             },
         ))
     }
@@ -640,13 +603,10 @@ impl AtlasService {
     /// Reloads persisted measurements and ledger state from the
     /// durability directory. A measurement already in memory is kept
     /// as-is unless the durable copy has strictly more samples (it
-    /// gained rounds elsewhere) — then the samples are replaced and the
-    /// stats epoch bumps, so cached stats can never go stale. A durable
-    /// copy that *strictly extends* the in-memory rows keeps the frame
-    /// generation, so the next stats computation appends to the
-    /// retained frame; a divergent copy bumps it into a rebuild. Files
-    /// that fail their checksum or decode are skipped, not fatal.
-    /// Returns `(recovered, skipped)`.
+    /// gained rounds elsewhere) — then a fresh entry replaces it, so
+    /// its stats are computed anew and can never go stale. Files that
+    /// fail their checksum or decode, or that index past the serving
+    /// platform, are skipped, not fatal. Returns `(recovered, skipped)`.
     pub fn resume_from_disk(&self) -> std::io::Result<(usize, usize)> {
         let Some(dir) = self.durability.clone() else {
             return Ok((0, 0));
@@ -674,26 +634,16 @@ impl AtlasService {
             .collect();
         entries.sort();
         for path in entries {
-            match Self::load_measurement(&std::fs::read(&path)?) {
+            match self.load_measurement(&std::fs::read(&path)?) {
                 Some((id, m)) => {
                     self.next_id.fetch_max(id + 1, Ordering::SeqCst);
-                    match write(&self.measurements).entry(id) {
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            slot.insert(MeasurementEntry::new(m));
-                            recovered += 1;
-                        }
-                        std::collections::hash_map::Entry::Occupied(slot) => {
-                            let mut data = write(&slot.get().data);
-                            if m.store.len() > data.store.len() {
-                                let extends = data.store.is_prefix_of(&m.store);
-                                let epoch = data.epoch + 1;
-                                let generation = data.generation + u64::from(!extends);
-                                *data = m;
-                                data.epoch = epoch;
-                                data.generation = generation;
-                                recovered += 1;
-                            }
-                        }
+                    let mut registry = write(&self.measurements);
+                    if registry
+                        .get(&id)
+                        .is_none_or(|e| m.store.len() > e.data.store.len())
+                    {
+                        registry.insert(id, MeasurementEntry::new(m));
+                        recovered += 1;
                     }
                 }
                 None => skipped += 1,
@@ -729,7 +679,7 @@ impl AtlasService {
             .map(|(&id, e)| (id, Arc::clone(e)))
             .collect();
         for (id, e) in entries {
-            self.persist_measurement(id, &read(&e.data))?;
+            self.persist_measurement(id, &e.data)?;
         }
         self.persist_state()
     }
@@ -801,7 +751,7 @@ impl AtlasService {
             return Response::error(400, "measurement id must be an integer");
         };
         match self.entry(id) {
-            Some(e) => Response::json(&self.measurement_dto(id, &read(&e.data))),
+            Some(e) => Response::json(&self.measurement_dto(id, &e.data)),
             None => Response::error(404, "no such measurement"),
         }
     }
@@ -819,10 +769,8 @@ impl AtlasService {
     /// Aggregate statistics over one measurement's samples, computed
     /// through the analysis frame (privileged-probe mask, per-probe and
     /// per-country minima) instead of ad-hoc loops — the same indexed
-    /// path the figure pipeline uses. Cached per entry and keyed by the
-    /// results epoch; on a miss the entry's retained frame is appended
-    /// to (same generation) or rebuilt (new generation), never rebuilt
-    /// for a mere extension.
+    /// path the figure pipeline uses. Computed once per entry; a
+    /// concurrent first GET waits for that one computation.
     fn get_stats(&self, id: &str) -> Response {
         let Ok(id) = id.parse::<u64>() else {
             return Response::error(400, "measurement id must be an integer");
@@ -830,46 +778,16 @@ impl AtlasService {
         let Some(entry) = self.entry(id) else {
             return Response::error(404, "no such measurement");
         };
-        let data = read(&entry.data);
-        let mut cache = lock(&entry.stats_cache);
-        if let Some((epoch, dto)) = &*cache {
-            if *epoch == data.epoch {
-                return Response::json(dto);
-            }
-        }
-        let dto = self.compute_stats(id, &entry, &data);
-        let resp = Response::json(&dto);
-        *cache = Some((data.epoch, dto));
-        resp
+        let stats = entry
+            .stats
+            .get_or_init(|| self.compute_stats(id, &entry.data));
+        Response::json(stats)
     }
 
-    /// Computes stats through the entry's retained frame, syncing it to
-    /// the current samples first: same generation ⇒ the store only
-    /// gained rows since the frame indexed it, so `append` catches up
-    /// in O(new samples); generation mismatch (replace/shrink) or no
-    /// frame yet ⇒ full build.
-    fn compute_stats(
-        &self,
-        id: u64,
-        entry: &MeasurementEntry,
-        m: &StoredMeasurement,
-    ) -> MeasurementStatsDto {
-        let mut slot = lock(&entry.frame_cache);
-        let reusable = matches!(&*slot, Some(fc) if fc.generation == m.generation);
-        if reusable {
-            let fc = slot.as_mut().expect("checked above");
-            if fc.frame.rows_indexed() < m.store.len() {
-                self.frame_appends.fetch_add(1, Ordering::Relaxed);
-                fc.frame.append(&m.store);
-            }
-        } else {
-            self.frame_builds.fetch_add(1, Ordering::Relaxed);
-            *slot = Some(FrameCache {
-                generation: m.generation,
-                frame: CampaignFrame::build(&self.platform, &m.store),
-            });
-        }
-        let frame = &slot.as_ref().expect("synced above").frame;
+    /// Computes stats through one frame build over the samples.
+    fn compute_stats(&self, id: u64, m: &StoredMeasurement) -> MeasurementStatsDto {
+        self.frame_builds.fetch_add(1, Ordering::Relaxed);
+        let frame = CampaignFrame::build(&self.platform, &m.store);
         let rate = m.store.response_rate();
         let fastest_probe = frame
             .probe_minima()
@@ -916,7 +834,6 @@ impl AtlasService {
         });
         let service = [
             ("frame_builds", self.frame_builds()),
-            ("frame_appends", self.frame_appends()),
             ("credits", self.credits()),
         ];
         let work = self.work.as_ref().map(|q| {
@@ -960,7 +877,7 @@ impl AtlasService {
         };
         match self.entry(id) {
             Some(e) => {
-                let data = read(&e.data);
+                let data = &e.data;
                 let mut body = Vec::with_capacity(2 + data.store.len() * 112);
                 json::write_array(&mut body, data.store.iter().map(|s| ResultDto::from(&s)));
                 Response::json_bytes(200, body)
@@ -1245,7 +1162,7 @@ mod tests {
         assert_eq!(resp.headers["content-type"], "application/json");
         assert_eq!(
             resp.body,
-            b"{\"server\":null,\"service\":{\"frame_builds\":0,\"frame_appends\":0,\
+            b"{\"server\":null,\"service\":{\"frame_builds\":0,\
                \"credits\":1000000},\"work\":null}"
                 .to_vec()
         );
@@ -1271,7 +1188,7 @@ mod tests {
              \"requests\":0,\"responses_503\":0,\"responses_400\":0,\
              \"handler_panics\":0,\"idle_closed\":0,\"write_deadline_closed\":0,\
              \"threads_live\":0},\"service\":{\"frame_builds\":0,\
-             \"frame_appends\":0,\"credits\":1000000},\"work\":{\
+             \"credits\":1000000},\"work\":{\
              \"workers_live\":2,\"workers_registered\":2,\"heartbeats_missed\":0,\
              \"shards_freed_on_close\":0,\"shards_reassigned\":0,\"rounds_retried\":0,\
              \"duplicate_frames_dropped\":0,\"frames_accepted\":0,\
@@ -1487,8 +1404,8 @@ mod tests {
     /// `extra_rounds` copies of the first sample at fresh hours —
     /// "another process appended rounds and flushed".
     fn extended_copy(svc: &AtlasService, id: u64, extra_rounds: u64) -> StoredMeasurement {
-        let data = svc.entry(id).unwrap();
-        let data = read(&data.data);
+        let entry = svc.entry(id).unwrap();
+        let data = &entry.data;
         let mut store = data.store.clone();
         let base_hour = 99 + extra_rounds * 10;
         for k in 0..extra_rounds {
@@ -1504,17 +1421,14 @@ mod tests {
             fault_profile: data.fault_profile.clone(),
             retried_rounds: data.retried_rounds,
             store,
-            epoch: 0,
-            generation: 0,
         }
     }
 
     #[test]
     fn stats_cache_invalidates_when_resume_brings_more_samples() {
-        // A measurement whose durable copy gained rounds (the PR-4
-        // recovery path) must never serve stale cached counts — and
-        // since the copy strictly extends the in-memory rows, the stats
-        // path appends to the retained frame instead of rebuilding.
+        // A measurement whose durable copy gained rounds must never
+        // serve stale cached counts, whether the copy extends the rows
+        // in memory or diverges from them.
         let dir = temp_dir("stale");
         let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
             .unwrap();
@@ -1530,51 +1444,44 @@ mod tests {
             200
         );
         assert_eq!(svc.frame_builds(), 1);
-        let samples_before = read(&svc.entry(1).unwrap().data).store.len();
+        let samples_before = svc.entry(1).unwrap().data.store.len();
         assert!(samples_before > 0);
 
-        // Simulate another process appending a round and flushing: the
-        // durable copy of measurement 1 now has one extra sample.
-        svc.persist_measurement(1, &extended_copy(&svc, 1, 1))
-            .unwrap();
+        // Simulate another process appending a round and flushing (the
+        // copy extends the rows in memory), then one rewriting history
+        // and appending another (the copy diverges from its first row).
+        let extended = extended_copy(&svc, 1, 1);
+        let mut divergent = extended_copy(&svc, 1, 2);
+        let mut rewritten = ResultStore::with_capacity(divergent.store.len());
+        for (i, mut s) in divergent.store.iter().enumerate() {
+            if i == 0 {
+                s.at = shears_netsim::SimTime::from_hours(77);
+            }
+            rewritten.push(s);
+        }
+        divergent.store = rewritten;
+        for (builds, copy) in [(2, extended), (3, divergent)] {
+            let samples = copy.store.len();
+            svc.persist_measurement(1, &copy).unwrap();
+            let (recovered, skipped) = svc.resume_from_disk().unwrap();
+            assert_eq!((recovered, skipped), (1, 0), "longer durable copy wins");
+            assert_eq!(svc.entry(1).unwrap().data.store.len(), samples);
 
-        let (recovered, skipped) = svc.resume_from_disk().unwrap();
-        assert_eq!((recovered, skipped), (1, 0), "longer durable copy wins");
-        let entry = svc.entry(1).unwrap();
-        assert_eq!(read(&entry.data).store.len(), samples_before + 1);
-        assert_eq!(read(&entry.data).epoch, 1, "epoch bumps on sample change");
-        assert_eq!(
-            read(&entry.data).generation,
-            0,
-            "a strict extension keeps the frame generation"
-        );
-
-        // The next stats GET recomputes via append; the one after hits
-        // the new cache key.
-        assert_eq!(
-            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
-            200
-        );
-        assert_eq!(
-            svc.frame_builds(),
-            1,
-            "extension must not rebuild the frame"
-        );
-        assert_eq!(
-            svc.frame_appends(),
-            1,
-            "extension feeds CampaignFrame::append"
-        );
-        assert_eq!(
-            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
-            200
-        );
-        assert_eq!((svc.frame_builds(), svc.frame_appends()), (1, 1));
-        // The served counts match the recovered store, not the cached
-        // pre-resume ones.
-        let body = svc.handle(&get("/api/v2/measurements/1/stats", &[])).body;
-        let stats: MeasurementStatsDto = json::from_slice(&body).unwrap();
-        assert_eq!(stats.samples, samples_before + 1);
+            // The next stats GET builds a frame over the new samples;
+            // the one after is served from the entry.
+            let body = svc.handle(&get("/api/v2/measurements/1/stats", &[])).body;
+            assert_eq!(svc.frame_builds(), builds, "one build per new copy");
+            assert_eq!(
+                svc.handle(&get("/api/v2/measurements/1/stats", &[])).body,
+                body
+            );
+            assert_eq!(svc.frame_builds(), builds, "a repeat GET builds nothing");
+            // The served counts match the recovered store, not the
+            // cached pre-resume ones.
+            let stats: MeasurementStatsDto = json::from_slice(&body).unwrap();
+            assert_eq!(stats.samples, samples);
+        }
+        assert_eq!(svc.entry(1).unwrap().data.store.len(), samples_before + 2);
 
         // Re-resume with identical disk state: idempotent, no resync.
         let (recovered, _) = svc.resume_from_disk().unwrap();
@@ -1583,91 +1490,7 @@ mod tests {
             svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
             200
         );
-        assert_eq!((svc.frame_builds(), svc.frame_appends()), (1, 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn n_appended_rounds_cost_one_build_and_n_appends() {
-        // The acceptance pin for the incremental stats path: a live
-        // measurement gaining N rounds one resume at a time costs
-        // exactly 1 frame build + N appends — zero full rebuilds.
-        let dir = temp_dir("n-appends");
-        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-            .unwrap();
-        seed(&svc, 9, 2, 10);
-        assert_eq!(
-            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
-            200
-        );
-        assert_eq!((svc.frame_builds(), svc.frame_appends()), (1, 0));
-
-        const N: u64 = 4;
-        for n in 1..=N {
-            svc.persist_measurement(1, &extended_copy(&svc, 1, n))
-                .unwrap();
-            let (recovered, _) = svc.resume_from_disk().unwrap();
-            assert_eq!(recovered, 1, "round {n} recovered");
-            assert_eq!(
-                svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
-                200
-            );
-            assert_eq!(
-                (svc.frame_builds(), svc.frame_appends()),
-                (1, n),
-                "after {n} appended rounds"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn divergent_durable_copy_rebuilds_the_frame() {
-        // A durable copy that is longer but does NOT extend the
-        // in-memory rows (a replaced history) must invalidate the
-        // retained frame: generation bumps, the stats path rebuilds.
-        let dir = temp_dir("divergent");
-        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
-            .unwrap();
-        seed(&svc, 9, 2, 10);
-        assert_eq!(
-            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
-            200
-        );
-        assert_eq!((svc.frame_builds(), svc.frame_appends()), (1, 0));
-
-        let mut divergent = extended_copy(&svc, 1, 1);
-        // Rewrite the first row so the copy is no longer a prefix
-        // extension of what is in memory.
-        let mut rewritten = ResultStore::with_capacity(divergent.store.len());
-        for (i, s) in divergent.store.iter().enumerate() {
-            let mut s = s;
-            if i == 0 {
-                s.at = shears_netsim::SimTime::from_hours(77);
-            }
-            rewritten.push(s);
-        }
-        divergent.store = rewritten;
-        svc.persist_measurement(1, &divergent).unwrap();
-
-        let (recovered, _) = svc.resume_from_disk().unwrap();
-        assert_eq!(recovered, 1, "longer divergent copy still wins");
-        let entry = svc.entry(1).unwrap();
-        assert_eq!(
-            read(&entry.data).generation,
-            1,
-            "replace bumps the generation"
-        );
-
-        assert_eq!(
-            svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
-            200
-        );
-        assert_eq!(
-            (svc.frame_builds(), svc.frame_appends()),
-            (2, 0),
-            "replace ⇒ rebuild, never append"
-        );
+        assert_eq!(svc.frame_builds(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1742,6 +1565,32 @@ mod tests {
     }
 
     #[test]
+    fn resume_skips_measurements_outside_the_serving_platform() {
+        // A directory written by a service over the 2020 catalogue (101
+        // regions), resumed by one over the 2010 catalogue (10 regions):
+        // the measurement towards region 60 must be skipped, or every
+        // listing would index past the catalogue.
+        let dir = temp_dir("foreign");
+        let svc = AtlasService::with_durability(Platform::build(&PlatformConfig::quick(2)), &dir)
+            .unwrap();
+        seed(&svc, 60, 1, 4);
+        drop(svc);
+
+        let older = PlatformConfig {
+            catalog_year: Some(2010),
+            ..PlatformConfig::quick(2)
+        };
+        let svc = AtlasService::with_durability(Platform::build(&older), &dir).unwrap();
+        assert_eq!(svc.platform().catalog().regions().len(), 10);
+        assert_eq!(svc.resume_from_disk().unwrap(), (0, 1));
+        let listing = svc.handle(&get("/api/v2/measurements", &[]));
+        assert_eq!(listing.status, 200);
+        assert_eq!(listing.body, b"[]");
+        assert_eq!(svc.handle(&get("/api/v2/measurements/1", &[])).status, 404);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn resume_without_durability_is_a_client_error() {
         let svc = service();
         let resp = svc.handle(&post("/api/v2/measurements/resume", ""));
@@ -1804,8 +1653,6 @@ mod tests {
             fault_profile: Some("chaos".to_string()),
             retried_rounds: 1,
             store,
-            epoch: 0,
-            generation: 0,
         };
         svc.persist_measurement(77, &m).unwrap();
         svc.next_id.store(78, Ordering::SeqCst);
@@ -1820,7 +1667,7 @@ mod tests {
         assert_eq!(svc2.next_id.load(Ordering::SeqCst), 78);
         assert_eq!(lock(&svc2.ledger).spent(), 42);
         let entry = svc2.entry(77).unwrap();
-        let got = read(&entry.data);
+        let got = &entry.data;
         assert_eq!(got.target_region, 9);
         assert_eq!(got.probes, 2);
         assert_eq!(got.credits_spent, 42);
@@ -1832,7 +1679,6 @@ mod tests {
             got.store.get(0).min_ms.is_infinite(),
             "loss marker survives"
         );
-        drop(got);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -294,8 +294,8 @@ impl ResultStore {
     }
 
     /// Whether `self` is a strict row-for-row prefix of `other` (equal
-    /// length counts as a prefix too). Used by the API's durable-resume
-    /// path to decide append vs rebuild.
+    /// length counts as a prefix too): a journal replayed after a crash
+    /// holds a prefix of the uninterrupted run's rows.
     pub fn is_prefix_of(&self, other: &ResultStore) -> bool {
         let n = self.len();
         n <= other.len()

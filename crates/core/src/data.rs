@@ -13,12 +13,16 @@
 //! memoized [`CampaignFrame`] — so a full report pays for one store
 //! scan instead of one per figure — while the streaming iterators
 //! ([`CampaignData::filtered`], [`CampaignData::filtered_responded`])
-//! keep their original store-order semantics.
+//! keep their original store-order semantics. A crash-recovered
+//! campaign (`DurableOutcome::store`) or the samples replayed out of a
+//! journal (`Replay::store`) are viewed the same way, through
+//! [`CampaignData::new`]: recovered stores are bit-identical to
+//! uninterrupted ones, so every downstream figure is too.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use shears_atlas::{DurableOutcome, Platform, Probe, ProbeId, Replay, ResultStore, RttSample};
+use shears_atlas::{Platform, Probe, ProbeId, ResultStore, RttSample};
 
 use crate::frame::CampaignFrame;
 
@@ -39,21 +43,6 @@ impl<'a> CampaignData<'a> {
         }
     }
 
-    /// Views a crash-recovered campaign: the outcome handed back by
-    /// `Campaign::resume` (or a completed `run_durable`). Recovered
-    /// stores are bit-identical to uninterrupted ones, so every
-    /// downstream figure is too.
-    pub fn from_recovered(platform: &'a Platform, outcome: &'a DurableOutcome) -> Self {
-        Self::new(platform, &outcome.store)
-    }
-
-    /// Views the samples replayed straight out of a journal, *without*
-    /// re-running the remaining rounds — for reporting on a partially
-    /// complete (crashed or still-running) campaign as-is.
-    pub fn from_replay(platform: &'a Platform, replay: &'a Replay) -> Self {
-        Self::new(platform, &replay.store)
-    }
-
     /// The platform.
     pub fn platform(&self) -> &'a Platform {
         self.platform
@@ -64,8 +53,8 @@ impl<'a> CampaignData<'a> {
         self.store
     }
 
-    /// The indexed frame over this campaign, built (in one parallel
-    /// columnar store scan) and memoized on first access.
+    /// The indexed frame over this campaign, built (in one columnar
+    /// store scan) and memoized on first access.
     pub fn frame(&self) -> &CampaignFrame {
         self.frame
             .get_or_init(|| CampaignFrame::build(self.platform, self.store))
@@ -235,12 +224,12 @@ mod tests {
         d.crash_after_round = None;
         let outcome = Campaign::resume(&platform, &d, 2).unwrap();
         let plain = CampaignData::new(&platform, &store);
-        let recovered = CampaignData::from_recovered(&platform, &outcome);
+        let recovered = CampaignData::new(&platform, &outcome.store);
         assert_eq!(plain.per_probe_min(), recovered.per_probe_min());
         assert_eq!(plain.per_country_min(), recovered.per_country_min());
         // Replay-only views see exactly the journaled prefix.
         let replay = shears_atlas::journal::replay(&path).unwrap();
-        let partial = CampaignData::from_replay(&platform, &replay);
+        let partial = CampaignData::new(&platform, &replay.store);
         assert_eq!(partial.store(), &outcome.store);
         let _ = std::fs::remove_file(&path);
     }

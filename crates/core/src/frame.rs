@@ -1,11 +1,11 @@
-//! The single-pass indexed view every analysis queries.
+//! The indexed view every analysis queries.
 //!
-//! [`CampaignFrame`] is built from a platform and a result store in one
-//! parallel columnar scan (`std::thread::scope` threads, the same
-//! shard-and-merge idiom as `Campaign::run_parallel`), then kept
-//! current **incrementally**: [`CampaignFrame::append`] folds newly
-//! landed store rows into every index in O(new samples) instead of
-//! rescanning the campaign. It precomputes everything the figure
+//! [`CampaignFrame`] is built from a platform and a result store, then
+//! kept current **incrementally**: [`CampaignFrame::append`] folds
+//! newly landed store rows into every index in O(new samples) instead
+//! of rescanning the campaign. A build is an empty frame over the
+//! platform followed by the same indexing step an append runs, so the
+//! two cannot disagree. The frame precomputes everything the figure
 //! modules used to re-derive with their own O(n) passes:
 //!
 //! * the §4.1 **privileged mask** (one `bool` per probe, so the filter
@@ -20,35 +20,28 @@
 //! * a **time-sorted round index** for windowed queries (the indexed
 //!   replacement for `ResultStore::in_window`).
 //!
-//! Since the columnar refactor the frame *owns* its indexes (no
-//! borrows), so a long-lived service can hold a frame next to its
-//! growing store and feed it appends; queries that materialise sample
-//! data take the store (and platform, where probe records are joined)
-//! as arguments. The scan iterates the store's dense columns — probe,
-//! region, `min_ms`, received — instead of striding 24-byte records.
+//! The frame *owns* its indexes (no borrows), so a long-lived caller
+//! can hold a frame next to its growing store and feed it appends;
+//! queries that materialise sample data take the store (and platform,
+//! where probe records are joined) as arguments. The scan iterates the
+//! store's dense columns — probe, region, `min_ms`, received — instead
+//! of striding 24-byte records.
 //!
 //! The contract is build-once / append-many / query-many, and every
-//! state is bit-identical to a from-scratch rebuild of the same rows:
-//! minima are plain `f64` mins over the same sample sets, and the
-//! best-region tie-break reproduces the sequential first-sample-wins
-//! rule exactly by tracking `(value, first store index achieving it)`
-//! pairs — shard merges take the lexicographic minimum, and appended
-//! rows (which always carry larger indices) only ever win by a strict
-//! value improvement.
-
-use std::collections::{BTreeMap, HashMap};
+//! state is bit-identical to a build over the same rows: minima are
+//! plain `f64` mins over the same sample sets, and the best-region
+//! tie-break reproduces the sequential first-sample-wins rule exactly
+//! by tracking `(value, first store index achieving it)` pairs —
+//! appended rows (which always carry larger indices) only ever win by
+//! a strict value improvement.
 
 use shears_atlas::{Platform, Probe, ProbeId, ResultStore, RttSample};
 use shears_netsim::SimTime;
 
-use crate::kernels::{self, GroupedMinima, ScanCols};
+use crate::kernels::{self, ScanCols};
 
 /// Sentinel for "this probe has no responding region".
 const NO_REGION: u16 = u16::MAX;
-
-/// Below this store size the build runs on one thread: the scan is
-/// cheaper than spawning.
-const PARALLEL_THRESHOLD: usize = 8_192;
 
 /// One per-(probe, region) minimum, with the first store index that
 /// achieved it — the tie-break witness appends need to stay bit-exact.
@@ -59,24 +52,27 @@ struct RegionMin {
     first: u32,
 }
 
-/// Scans rows `[lo, hi)` of the store's columns through the grouped-
-/// minima kernel ([`kernels::region_min_scan`], which carries the
-/// strict-`<` first-index-wins contract). Recorded indices are global
-/// store indices.
-fn scan_shard(
-    store: &ResultStore,
-    lo: usize,
-    hi: usize,
-    privileged: &[bool],
-    n_probes: usize,
-) -> GroupedMinima {
-    let cols = ScanCols {
-        probes: &store.probes()[lo..hi],
-        regions: &store.regions()[lo..hi],
-        min_ms: &store.min_ms()[lo..hi],
-        received: &store.received()[lo..hi],
-    };
-    kernels::region_min_scan(&cols, privileged, lo as u32, n_probes)
+/// Merges two runs of row indices, each sorted by `key`, into one;
+/// on equal keys the row from `a` comes first.
+fn merge_by_key<K: Ord>(
+    a: impl Iterator<Item = u32>,
+    b: impl Iterator<Item = u32>,
+    capacity: usize,
+    key: impl Fn(u32) -> K,
+) -> Vec<u32> {
+    let mut out = Vec::with_capacity(capacity);
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(&x), Some(&y)) if key(x) <= key(y) => a.next(),
+            (Some(_), None) => a.next(),
+            _ => b.next(),
+        };
+        match next {
+            Some(idx) => out.push(idx),
+            None => return out,
+        }
+    }
 }
 
 /// The indexed campaign view. See the module docs for the contract.
@@ -117,169 +113,45 @@ pub struct CampaignFrame {
 }
 
 impl CampaignFrame {
-    /// Builds the frame in one parallel scan over the store's columns.
+    /// Builds the frame over every row of `store`: an empty frame over
+    /// the platform, then the indexing step [`CampaignFrame::append`]
+    /// runs. [`CampaignFrame::appends`] reads 0 afterwards.
     pub fn build(platform: &Platform, store: &ResultStore) -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::build_with_threads(platform, store, threads)
+        let mut frame = Self::empty(platform);
+        frame.index_new_rows(store);
+        frame
     }
 
-    /// Builds with an explicit scan-thread count (testing and tuning;
-    /// the result is identical for every count).
-    pub fn build_with_threads(platform: &Platform, store: &ResultStore, threads: usize) -> Self {
-        let n_rows = store.len();
-        assert!(
-            n_rows <= u32::MAX as usize,
-            "store exceeds the u32 row-index space"
-        );
+    /// A frame over `platform` that has indexed no rows: the privileged
+    /// mask and the sorted country slots.
+    fn empty(platform: &Platform) -> Self {
         let probes = platform.probes();
         let n_probes = probes.len();
-        let privileged: Vec<bool> = probes.iter().map(Probe::is_privileged).collect();
-
-        // Country interning: sorted unique codes, probe → slot.
-        let mut country_slots: BTreeMap<&str, u32> = BTreeMap::new();
-        for p in probes {
-            let next = country_slots.len() as u32;
-            country_slots.entry(p.country.as_str()).or_insert(next);
-        }
-        // BTreeMap insertion order is not slot order; re-number sorted.
-        let countries: Vec<String> = country_slots.keys().map(|c| c.to_string()).collect();
-        for (slot, (_, v)) in country_slots.iter_mut().enumerate() {
-            *v = slot as u32;
-        }
-        let probe_country: Vec<u32> = probes
+        let mut countries: Vec<String> = probes.iter().map(|p| p.country.clone()).collect();
+        countries.sort_unstable();
+        countries.dedup();
+        let probe_country = probes
             .iter()
-            .map(|p| country_slots[p.country.as_str()])
-            .collect();
-
-        // 1. The parallel scan: shard the rows, scan each shard, merge.
-        let shards: Vec<GroupedMinima> = if threads <= 1 || n_rows < PARALLEL_THRESHOLD {
-            vec![scan_shard(store, 0, n_rows, &privileged, n_probes)]
-        } else {
-            let chunk = n_rows.div_ceil(threads).max(1);
-            std::thread::scope(|s| {
-                let privileged = &privileged;
-                let mut handles = Vec::new();
-                let mut lo = 0usize;
-                while lo < n_rows {
-                    let hi = (lo + chunk).min(n_rows);
-                    handles.push(s.spawn(move || scan_shard(store, lo, hi, privileged, n_probes)));
-                    lo = hi;
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("frame scan shard panicked"))
-                    .collect::<Vec<_>>()
+            .map(|p| {
+                countries
+                    .binary_search(&p.country)
+                    .expect("every probe's country has a slot") as u32
             })
-        };
-
-        let mut counts = vec![0u32; n_probes];
-        let mut region_min: HashMap<(u32, u16), (f64, u32)> = HashMap::new();
-        let mut filtered_len = 0;
-        let mut responded_len = 0;
-        for shard in shards {
-            for (c, n) in counts.iter_mut().zip(&shard.counts) {
-                *c += n;
-            }
-            filtered_len += shard.filtered;
-            responded_len += shard.responded;
-            for (key, (v, idx)) in shard.region_min {
-                region_min
-                    .entry(key)
-                    .and_modify(|e| {
-                        // Lexicographic min on (value, index): order-
-                        // independent, and equal values keep the
-                        // earliest store index — the sequential
-                        // first-sample-wins rule.
-                        if (v, idx) < (e.0, e.1) {
-                            *e = (v, idx);
-                        }
-                    })
-                    .or_insert((v, idx));
-            }
-        }
-
-        // 2. Per-probe tables from the merged (probe, region) minima.
-        let mut region_minima: Vec<Vec<RegionMin>> = vec![Vec::new(); n_probes];
-        let mut best: Vec<(f64, u32, u16)> = vec![(f64::INFINITY, u32::MAX, NO_REGION); n_probes];
-        for (&(probe, region), &(v, idx)) in &region_min {
-            let p = probe as usize;
-            region_minima[p].push(RegionMin {
-                region,
-                min: v,
-                first: idx,
-            });
-            // Same rule as the shard merge: the winning region is the
-            // one whose sample first reached the probe's overall min.
-            if (v, idx) < (best[p].0, best[p].1) {
-                best[p] = (v, idx, region);
-            }
-        }
-        for rm in &mut region_minima {
-            rm.sort_unstable_by_key(|e| e.region);
-        }
-
-        // 3. Country minima over probe minima (min is associative, so
-        //    this equals the historical per-sample accumulation).
-        let mut country_min = vec![f64::INFINITY; countries.len()];
-        let mut countries_with_data = 0usize;
-        for (p, &(v, _, _)) in best.iter().enumerate() {
-            if v.is_finite() {
-                let c = probe_country[p] as usize;
-                if country_min[c].is_infinite() {
-                    countries_with_data += 1;
-                }
-                country_min[c] = country_min[c].min(v);
-            }
-        }
-
-        // 4. The per-probe partition: reserve from the counts, then one
-        //    placement pass (counting sort on probe id).
-        let mut partition: Vec<Vec<u32>> = counts
-            .iter()
-            .map(|&c| Vec::with_capacity(c as usize))
             .collect();
-        for (idx, p) in store.probes().iter().enumerate() {
-            partition[p.index()].push(idx as u32);
-        }
-
-        // 5. The closest-DC row cache, read off the partition and
-        //    re-sorted into store order (what the two-pass iterator
-        //    produced).
-        let regions = store.regions();
-        let received = store.received();
-        let mut closest_rows = Vec::with_capacity(responded_len);
-        for p in 0..n_probes {
-            if privileged[p] || best[p].2 == NO_REGION {
-                continue;
-            }
-            for &idx in &partition[p] {
-                let i = idx as usize;
-                if regions[i] == best[p].2 && received[i] > 0 {
-                    closest_rows.push(idx);
-                }
-            }
-        }
-        closest_rows.sort_unstable();
-
-        // 6. The time index (stable: equal timestamps keep store order).
-        let ats = store.ats();
-        let mut time_order: Vec<u32> = (0..n_rows as u32).collect();
-        time_order.sort_by_key(|&idx| ats[idx as usize]);
-
         Self {
-            privileged,
+            privileged: probes.iter().map(Probe::is_privileged).collect(),
             probe_country,
+            country_min: vec![f64::INFINITY; countries.len()],
             countries,
-            partition,
-            best,
-            region_minima,
-            country_min,
-            countries_with_data,
-            closest_rows,
-            time_order,
-            filtered_len,
-            responded_len,
-            rows_indexed: n_rows,
+            partition: vec![Vec::new(); n_probes],
+            best: vec![(f64::INFINITY, u32::MAX, NO_REGION); n_probes],
+            region_minima: vec![Vec::new(); n_probes],
+            countries_with_data: 0,
+            closest_rows: Vec::new(),
+            time_order: Vec::new(),
+            filtered_len: 0,
+            responded_len: 0,
+            rows_indexed: 0,
             appends: 0,
         }
     }
@@ -291,24 +163,34 @@ impl CampaignFrame {
     /// The caller contract is that `store` is the same store the frame
     /// was built from with rows appended at the tail (campaign rounds,
     /// a durable resume that strictly extends the samples). The result
-    /// is bit-identical to `build(platform, store)`:
+    /// is bit-identical to `build(platform, store)`, because `build`
+    /// runs this same step over an empty frame.
+    pub fn append(&mut self, store: &ResultStore) {
+        self.appends += 1;
+        self.index_new_rows(store);
+    }
+
+    /// The indexing step behind both [`CampaignFrame::build`] and
+    /// [`CampaignFrame::append`]:
     ///
     /// * per-(probe, region) minima only improve by a **strict** `<`
     ///   (new rows carry larger store indices, so a tie never steals a
     ///   first-index witness);
-    /// * per-probe bests follow the same lexicographic
-    ///   `(value, first index)` rule as the build's shard merge;
+    /// * per-probe bests take the lexicographic `(value, first index)`
+    ///   minimum;
     /// * country minima are monotone mins over probe minima;
-    /// * the closest-rows cache is extended in store order when no
-    ///   probe's closest region moved, and re-merged from the partition
-    ///   for exactly the probes whose best region changed (the one
-    ///   amortised-not-worst-case step: a best flip costs O(that
-    ///   probe's rows + current cache));
+    /// * the closest-rows cache is extended in store order unless a
+    ///   probe's closest region differs from the one it had at the
+    ///   start of the call; exactly those probes' rows are re-derived
+    ///   from the partition and merged in (the one amortised-not-
+    ///   worst-case step: it costs O(those probes' rows + current
+    ///   cache)). A build starts from no closest regions, so it never
+    ///   re-derives;
     /// * the time index appends in O(new log new) when the new rows'
     ///   times start at or after the indexed maximum (every round-major
     ///   producer in the tree), and falls back to a linear merge for
     ///   interleaved times.
-    pub fn append(&mut self, store: &ResultStore) {
+    fn index_new_rows(&mut self, store: &ResultStore) {
         let from = self.rows_indexed;
         let to = store.len();
         assert!(
@@ -319,36 +201,39 @@ impl CampaignFrame {
             to <= u32::MAX as usize,
             "store exceeds the u32 row-index space"
         );
-        self.appends += 1;
         if to == from {
             return;
         }
         let probes = &store.probes()[from..to];
         let regions = &store.regions()[from..to];
-        let min_ms = &store.min_ms()[from..to];
         let received = &store.received()[from..to];
 
-        // 1. Partition pushes, then the new rows' minima through the
-        //    same kernel the build's shards use. Applying each
-        //    (probe, region) group's `(min, first index)` entry once is
-        //    order-independent and equal to the historical row-by-row
-        //    updates: the group entry *is* the lexicographic
-        //    `(value, index)` minimum of its rows, and every final
-        //    index below is a min over such entries.
-        for (i, p) in probes.iter().enumerate() {
-            self.partition[p.index()].push((from + i) as u32);
-        }
+        // 1. The new rows' grouped minima through the column kernel,
+        //    then the partition, reserved from the kernel's per-probe
+        //    counts. Applying each (probe, region) group's
+        //    `(min, first index)` entry once is order-independent and
+        //    equal to row-by-row updates: the group entry *is* the
+        //    lexicographic `(value, index)` minimum of its rows, and
+        //    every final index below is a min over such entries.
         let cols = ScanCols {
             probes,
             regions,
-            min_ms,
+            min_ms: &store.min_ms()[from..to],
             received,
         };
         let scan =
             kernels::region_min_scan(&cols, &self.privileged, from as u32, self.privileged.len());
+        for (rows, &n) in self.partition.iter_mut().zip(&scan.counts) {
+            rows.reserve(n as usize);
+        }
+        for (i, p) in probes.iter().enumerate() {
+            self.partition[p.index()].push((from + i) as u32);
+        }
         self.filtered_len += scan.filtered;
         self.responded_len += scan.responded;
-        let mut best_changed: Vec<usize> = Vec::new();
+        // `(probe, closest region at the start of the call)` for every
+        // probe that had one and whose best improved.
+        let mut improved: Vec<(usize, u16)> = Vec::new();
         for (&(probe, region), &(v, idx)) in &scan.region_min {
             let p = probe as usize;
             let rm = &mut self.region_minima[p];
@@ -372,21 +257,12 @@ impl CampaignFrame {
             }
             let b = &mut self.best[p];
             if (v, idx) < (b.0, b.1) {
-                // Lexicographic improvement with a larger index is
-                // always a strict value improvement.
-                let old_region = b.2;
-                *b = (v, idx, region);
-                if old_region != NO_REGION && old_region != region {
-                    // A flip away from an existing closest region:
-                    // this probe's cached closest rows re-derive below.
-                    // (NO_REGION → region needs none — every matching
-                    // row is new and the extend pass covers it. A flip
-                    // that settles back where it started is harmless:
-                    // re-derivation reproduces the same rows.)
-                    if !best_changed.contains(&p) {
-                        best_changed.push(p);
-                    }
+                // A best older than `from` is the one the call started
+                // with; once improved here, its index is `from` or more.
+                if (b.1 as usize) < from {
+                    improved.push((p, b.2));
                 }
+                *b = (v, idx, region);
                 let c = self.probe_country[p] as usize;
                 if v < self.country_min[c] {
                     if self.country_min[c].is_infinite() {
@@ -396,106 +272,75 @@ impl CampaignFrame {
                 }
             }
         }
+        let moved: Vec<usize> = improved
+            .into_iter()
+            .filter(|&(p, start)| self.best[p].2 != start)
+            .map(|(p, _)| p)
+            .collect();
 
-        // 2. Closest-rows cache. Fast path: no probe's closest region
-        //    moved, so new matching rows (ascending indices) extend the
-        //    sorted cache in place.
-        if best_changed.is_empty() {
-            for i in 0..probes.len() {
+        // 2. Closest-rows cache: the new rows towards their probe's
+        //    closest region (ascending indices). When no closest region
+        //    moved they extend the sorted cache in place.
+        let new_closest = (0..probes.len())
+            .filter(|&i| {
                 let p = probes[i].index();
-                if self.privileged[p] || received[i] == 0 {
-                    continue;
-                }
-                if regions[i] == self.best[p].2 {
-                    self.closest_rows.push((from + i) as u32);
-                }
-            }
+                !self.privileged[p] && received[i] > 0 && regions[i] == self.best[p].2
+            })
+            .map(|i| (from + i) as u32);
+        if moved.is_empty() {
+            self.closest_rows.extend(new_closest);
         } else {
-            // A closest region moved: drop the affected probes' rows,
-            // re-derive them from the partition (which already holds
-            // the new rows), and merge the two sorted sets.
-            let mut changed = vec![false; self.privileged.len()];
-            for &p in &best_changed {
-                changed[p] = true;
+            // Drop the moved probes' rows, re-derive them from the
+            // partition (which already holds the new rows), and merge
+            // the two sorted sets.
+            let mut is_moved = vec![false; self.privileged.len()];
+            for &p in &moved {
+                is_moved[p] = true;
             }
             let all_probes = store.probes();
             let all_regions = store.regions();
             let all_received = store.received();
-            let mut extra: Vec<u32> = Vec::new();
-            for &p in &best_changed {
+            let mut extra: Vec<u32> = new_closest
+                .filter(|&idx| !is_moved[all_probes[idx as usize].index()])
+                .collect();
+            for &p in &moved {
                 let best_region = self.best[p].2;
-                for &idx in &self.partition[p] {
+                extra.extend(self.partition[p].iter().copied().filter(|&idx| {
                     let i = idx as usize;
-                    if all_received[i] > 0 && all_regions[i] == best_region {
-                        extra.push(idx);
-                    }
-                }
-            }
-            for i in 0..probes.len() {
-                let p = probes[i].index();
-                if changed[p] || self.privileged[p] || received[i] == 0 {
-                    continue;
-                }
-                if regions[i] == self.best[p].2 {
-                    extra.push((from + i) as u32);
-                }
+                    all_received[i] > 0 && all_regions[i] == best_region
+                }));
             }
             extra.sort_unstable();
             let kept = std::mem::take(&mut self.closest_rows);
-            self.closest_rows = Vec::with_capacity(kept.len() + extra.len());
-            let mut a = kept
-                .into_iter()
-                .filter(|&idx| !changed[all_probes[idx as usize].index()])
-                .peekable();
-            let mut b = extra.into_iter().peekable();
-            loop {
-                match (a.peek(), b.peek()) {
-                    (Some(&x), Some(&y)) => {
-                        if x <= y {
-                            self.closest_rows.push(a.next().unwrap());
-                        } else {
-                            self.closest_rows.push(b.next().unwrap());
-                        }
-                    }
-                    (Some(_), None) => self.closest_rows.push(a.next().unwrap()),
-                    (None, Some(_)) => self.closest_rows.push(b.next().unwrap()),
-                    (None, None) => break,
-                }
-            }
+            let capacity = kept.len() + extra.len();
+            self.closest_rows = merge_by_key(
+                kept.into_iter()
+                    .filter(|&idx| !is_moved[all_probes[idx as usize].index()]),
+                extra.into_iter(),
+                capacity,
+                |idx| idx,
+            );
         }
 
         // 3. The time index. Both runs are sorted by (at, index); the
         //    old run's indices are all smaller, so a plain key merge
-        //    reproduces the stable full sort. Round-major producers
+        //    reproduces a stable full sort. Round-major producers
         //    append monotonically, so the extend path is the norm.
         let ats = store.ats();
         let mut new_order: Vec<u32> = (from as u32..to as u32).collect();
         new_order.sort_by_key(|&idx| ats[idx as usize]);
-        let monotone = match (self.time_order.last(), new_order.first()) {
-            (Some(&l), Some(&f)) => ats[l as usize] <= ats[f as usize],
-            _ => true,
-        };
-        if monotone {
-            self.time_order.extend(new_order);
-        } else {
-            let old = std::mem::take(&mut self.time_order);
-            self.time_order = Vec::with_capacity(old.len() + new_order.len());
-            let key = |idx: u32| (ats[idx as usize], idx);
-            let mut a = old.into_iter().peekable();
-            let mut b = new_order.into_iter().peekable();
-            loop {
-                match (a.peek(), b.peek()) {
-                    (Some(&x), Some(&y)) => {
-                        if key(x) <= key(y) {
-                            self.time_order.push(a.next().unwrap());
-                        } else {
-                            self.time_order.push(b.next().unwrap());
-                        }
-                    }
-                    (Some(_), None) => self.time_order.push(a.next().unwrap()),
-                    (None, Some(_)) => self.time_order.push(b.next().unwrap()),
-                    (None, None) => break,
-                }
+        match self.time_order.last() {
+            None => self.time_order = new_order,
+            Some(&last) if ats[last as usize] <= ats[new_order[0] as usize] => {
+                self.time_order.extend(new_order)
+            }
+            Some(_) => {
+                let old = std::mem::take(&mut self.time_order);
+                let capacity = old.len() + new_order.len();
+                self.time_order =
+                    merge_by_key(old.into_iter(), new_order.into_iter(), capacity, |idx| {
+                        (ats[idx as usize], idx)
+                    });
             }
         }
 
@@ -635,6 +480,7 @@ impl CampaignFrame {
 mod tests {
     use super::*;
     use shears_atlas::{Campaign, CampaignConfig, FleetConfig, PlatformConfig};
+    use std::collections::HashMap;
 
     fn data() -> (Platform, ResultStore) {
         let platform = Platform::build(&PlatformConfig {
@@ -788,16 +634,6 @@ mod tests {
             .collect();
         assert_eq!(got, reference, "rows must match in store order");
         assert!(!got.is_empty());
-    }
-
-    #[test]
-    fn build_is_thread_count_invariant() {
-        let (platform, store) = data();
-        let one = CampaignFrame::build_with_threads(&platform, &store, 1);
-        for threads in [2, 3, 8] {
-            let many = CampaignFrame::build_with_threads(&platform, &store, threads);
-            assert_frames_identical(&many, &one, &format!("{threads} threads"));
-        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl ScanCols<'_> {
 }
 
 /// Output of [`region_min_scan`]: the grouped minima and counters one
-/// shard of a `CampaignFrame` build (or one append slice) produces.
+/// `CampaignFrame` indexing step (a build, or one append) produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupedMinima {
     /// Sample count per probe (all samples, privileged included).

@@ -19,7 +19,7 @@
 //! store) and apply the paper's filtering discipline: probes tagged as
 //! privileged (datacentre/cloud-hosted) are excluded from everything.
 //! Aggregate statistics are served by the [`CampaignFrame`] index
-//! ([`frame`]), built once per campaign in a single parallel store scan
+//! ([`frame`]), built once per campaign in a single columnar store scan
 //! and memoized behind the view — rendering every figure costs one scan
 //! plus index lookups, not one scan per figure.
 //!

@@ -20,15 +20,16 @@
 #               a cadence leaves the journal's bytes alone)
 #   api       — only the API serving path: the concurrent reader/writer
 #               stress test over real TCP, the api crate's unit tests
-#               (sharded state, stats-cache epochs, server, the route
-#               body goldens) and property suite (hostile create
-#               bodies, DTO round trips), the JSON module's unit tests,
-#               and the HTTP integration suite
+#               (sharded state, once-per-entry stats, resume
+#               validation, server, the route body goldens) and
+#               property suite (hostile create bodies, DTO round
+#               trips), the JSON module's unit tests, and the HTTP
+#               integration suite
 #   frame     — only the columnar-store / incremental-frame suite: the
 #               store's row/column accessor equivalence, the frame's
-#               append-vs-rebuild bit-equality grid (1/2/8 threads,
-#               clean + chaos campaigns), the figure-pipeline golden
-#               equivalence, and the API's extend⇒append counter pins
+#               append-vs-rebuild bit-equality grid (clean + chaos
+#               campaigns), the figure-pipeline golden equivalence,
+#               and the API's one-build-per-measurement counter pins
 #   reactor   — only the connection-level adversarial battery against
 #               the readiness-driven event loop: slowloris vs fast
 #               sessions, split-at-every-byte pipelined parsing,
@@ -66,7 +67,9 @@
 #               grid; the stats pins (two-pointer KS, selection
 #               bootstrap, Summary-over-Ecdf); and the store unit tests
 #
-# An unknown profile prints this usage and exits 2.
+# Every profile command fails when its filter matches no test (cargo
+# itself passes a filter that matches nothing). An unknown profile
+# prints this usage and exits 2.
 #
 # The workspace has no external crates and commits its Cargo.lock; the
 # full profile builds with --locked --offline, so a registry dependency
@@ -76,72 +79,87 @@ cd "$(dirname "$0")/.."
 
 profile="${1:-full}"
 
+# `cargo test --release "$@"`, also failing when the run passed no test
+# (the `N passed` counts of its `test result:` lines sum to 0).
+tests() {
+    local status=(0 0)
+    cargo test --release "$@" |
+        awk '{ print; fflush() } /^test result:/ { n += $4 } END { exit (n == 0) }' ||
+        status=("${PIPESTATUS[@]}")
+    if [ "${status[0]}" -ne 0 ]; then
+        exit "${status[0]}"
+    fi
+    if [ "${status[1]}" -ne 0 ]; then
+        echo "verify: 'cargo test --release $*' ran no test" >&2
+        exit 1
+    fi
+}
+
 case "$profile" in
 chaos)
     echo "==> chaos profile: seed-matrix fault determinism and whole-store grids"
-    cargo test --release --test determinism chaos
-    cargo test --release --test determinism passthrough
-    cargo test --release --test determinism campaign_is_bit_identical
-    cargo test --release --test determinism parallel_execution
-    cargo test --release -p shears-atlas campaign::tests::
+    tests --test determinism chaos
+    tests --test determinism passthrough
+    tests --test determinism campaign_is_bit_identical
+    tests --test determinism parallel_execution
+    tests -p shears-atlas campaign::tests::
     ;;
 crash)
     echo "==> crash profile: kill-at-any-round durability sweep"
-    cargo test --release --test crash_recovery
-    cargo test --release -p shears-atlas journal::
-    cargo test --release -p shears-atlas campaign::tests::durable
-    cargo test --release -p shears-atlas campaign::tests::crash
-    cargo test --release -p shears-atlas campaign::tests::resume
-    cargo test --release -p shears-atlas campaign::tests::checkpoint
+    tests --test crash_recovery
+    tests -p shears-atlas journal::
+    tests -p shears-atlas campaign::tests::durable
+    tests -p shears-atlas campaign::tests::crash
+    tests -p shears-atlas campaign::tests::resume
+    tests -p shears-atlas campaign::tests::checkpoint
     ;;
 api)
     echo "==> api profile: concurrent serving-path consistency"
-    cargo test --release --test api_concurrency
-    cargo test --release -p shears-api
-    cargo test --release -p shears-atlas json::
-    cargo test --release --test api_integration
+    tests --test api_concurrency
+    tests -p shears-api
+    tests -p shears-atlas json::
+    tests --test api_integration
     ;;
 frame)
     echo "==> frame profile: columnar store + incremental frame equivalence"
-    cargo test --release -p shears-atlas store::
-    cargo test --release -p shears-analysis frame::
-    cargo test --release --test determinism columnar_store_accessors
-    cargo test --release --test determinism incremental_frame_append
-    cargo test --release --test determinism frame_indexes_reproduce
-    cargo test --release -p shears-api service::tests::n_appended_rounds
-    cargo test --release -p shears-api service::tests::divergent_durable_copy
-    cargo test --release -p shears-api service::tests::stats_cache_invalidates
+    tests -p shears-atlas store::
+    tests -p shears-analysis frame::
+    tests --test determinism columnar_store_accessors
+    tests --test determinism incremental_frame_append
+    tests --test determinism frame_indexes_reproduce
+    tests -p shears-api service::tests::repeated_stats_gets_build_the_frame_once
+    tests -p shears-api service::tests::stats_cache_invalidates
     ;;
 reactor)
     echo "==> reactor profile: adversarial connection-level battery"
-    cargo test --release --test api_reactor
-    cargo test --release -p shears-api server::
-    cargo test --release -p shears-api http::
-    cargo test --release --test api_concurrency
-    cargo test --release --test proptests parser_
+    tests --test api_reactor
+    tests -p shears-api server::
+    tests -p shears-api http::
+    tests --test api_concurrency
+    tests --test proptests parser_
     ;;
 dist)
     echo "==> dist profile: fault-tolerant distributed execution over the work stream"
-    cargo test --release --test proptests stream_
-    cargo test --release -p shears-api transport::
-    cargo test --release -p shears-api work::
-    cargo test --release -p shears-dist
-    cargo test --release --test dist_recovery
+    tests --test proptests stream_
+    tests -p shears-api transport::
+    tests -p shears-api work::
+    tests -p shears-dist
+    tests --test dist_recovery
     ;;
 delay)
     echo "==> delay profile: route table and delay model bit-identity"
-    cargo test --release -p shears-geo rng::
-    cargo test --release -p shears-netsim stochastic::
-    cargo test --release -p shears-netsim routing::
-    cargo test --release -p shears-netsim ping::
-    cargo test --release -p shears-netsim topology::
-    cargo test --release --test determinism route_table
+    tests -p shears-geo rng::
+    tests -p shears-netsim stochastic::
+    tests -p shears-netsim routing::
+    tests -p shears-netsim ping::
+    tests -p shears-netsim topology::
+    tests --test determinism route_table
     ;;
 kernels)
     echo "==> kernels profile: kernel-vs-scalar bit-equality"
-    cargo test --release -p shears-analysis kernels::
-    cargo test --release -p shears-analysis stats::
-    cargo test --release -p shears-atlas store::
+    tests -p shears-analysis kernels::
+    tests -p shears-analysis stats::
+    tests -p shears-atlas store::
     ;;
 full)
     echo "==> cargo build --release"
