@@ -24,13 +24,20 @@
 //! is no raw `epoll`/`kqueue` here. Readiness is *emulated*: all
 //! sockets are nonblocking, and each reactor sweeps its connections
 //! with nonblocking reads/writes — `WouldBlock` simply means "not
-//! ready". Between sweeps that made no progress the reactor parks on a
-//! condvar for one tick (1 ms); compute completions and new-connection
-//! hand-offs unpark it, so response latency does not pay the park. To
-//! keep huge idle fleets cheap, connections idle for more than a few
-//! ticks graduate to a *cold tier* swept only every
-//! [`COLD_SWEEP_EVERY`]th iteration: a 10k-idle-session soak costs a
-//! few hundred — not ten thousand — read syscalls per sweep.
+//! ready". After a sweep that made no progress the reactor parks on a
+//! condvar. Compute completions and new-connection hand-offs unpark it,
+//! but bytes arriving on a socket cannot, so a request that lands while
+//! the reactor is parked waits out the rest of the park. The park is
+//! therefore proportional: an eighth of the time since the last sweep
+//! that made progress, within [`PARK_FLOOR`] (50 µs) and [`PARK`]
+//! (1 ms). A reactor serving traffic notices a request within tens of
+//! µs; one quiet for 8 ms or more wakes once per ms, which is what an
+//! idle server costs. To keep huge idle fleets cheap, connections idle
+//! for more than [`COLD_AFTER`] graduate to a *cold tier* swept at most
+//! once per [`COLD_SWEEP_EVERY`] (16 ms), on a clock rather than per
+//! iteration, so a fast-spinning reactor under load does not multiply
+//! cold-tier reads: a 10k-idle-session soak costs a few hundred — not
+//! ten thousand — read syscalls per sweep.
 //!
 //! ## Ownership & wake-up paths
 //!
@@ -47,7 +54,7 @@
 //! * With a work queue attached, each iteration reads the queue's
 //!   lock-free [`crate::work::WorkQueue::epoch`]. Only when it moved
 //!   does the reactor drive the work streams whose workers wait idle,
-//!   so they read `Done` or `Abort` within a park tick instead of at
+//!   so they read `Done` or `Abort` within one park instead of at
 //!   their next poll. A server without a work queue skips the check.
 
 use std::collections::VecDeque;
@@ -63,15 +70,21 @@ use crate::server::{ServerConfig, ServerMetrics, ThreadGuard};
 use crate::service::AtlasService;
 use crate::transport::{WorkStream, STREAM_PREAMBLE};
 
-/// Park interval when a sweep made no progress. Bounds both accept
-/// latency (reactor 0 polls the listener each wake) and the added
-/// latency of a request arriving on a connection nobody unparks for.
+/// Longest park after a sweep that made no progress, reached once the
+/// reactor has been quiet for 8 × `PARK`. Bounds both the accept
+/// latency of a quiet reactor (reactor 0 polls the listener each wake)
+/// and the added latency of a request arriving on a connection nobody
+/// unparks for; it also sets the wake rate of an idle server.
 const PARK: Duration = Duration::from_millis(1);
 
-/// Sweep iterations between cold-tier scans. Idle connections are read
-/// this much less often; a request landing on one waits at most
-/// `COLD_SWEEP_EVERY × PARK` extra before it is noticed.
-const COLD_SWEEP_EVERY: u64 = 16;
+/// Shortest park: a reactor that made progress a moment ago sweeps
+/// again this soon.
+const PARK_FLOOR: Duration = Duration::from_micros(50);
+
+/// Least time between cold-tier scans. Idle connections are read this
+/// much less often; a request landing on one waits up to this long
+/// before it is noticed, however fast the reactor iterates.
+const COLD_SWEEP_EVERY: Duration = Duration::from_millis(16);
 
 /// A connection is cold once it has been idle this long.
 const COLD_AFTER: Duration = Duration::from_millis(50);
@@ -82,6 +95,19 @@ const ACCEPT_BATCH: usize = 256;
 
 /// Read scratch size per reactor (shared across its connections).
 const READ_CHUNK: usize = 16 * 1024;
+
+/// How long a reactor parks after a sweep that made no progress, given
+/// the time since its last sweep that did: an eighth of that quiet
+/// time, clamped to [`PARK_FLOOR`, `PARK`].
+fn park_for(quiet: Duration) -> Duration {
+    (quiet / 8).clamp(PARK_FLOOR, PARK)
+}
+
+/// Whether the sweep at `now` also reads the cold tier, which was last
+/// read at `last_cold_sweep`.
+fn cold_sweep_due(now: Instant, last_cold_sweep: Instant) -> bool {
+    now.duration_since(last_cold_sweep) >= COLD_SWEEP_EVERY
+}
 
 /// Condvar-based parker: reactors park between idle sweeps, compute
 /// workers and the acceptor unpark them on new work.
@@ -379,7 +405,11 @@ struct Reactor {
     next_gen: u64,
     /// Round-robin cursor for distributing accepted connections.
     rr: usize,
-    iteration: u64,
+    /// When a sweep last made progress: the park grows with the time
+    /// since.
+    last_progress: Instant,
+    /// When the cold tier was last read.
+    last_cold_sweep: Instant,
     /// The work queue's epoch at the last idle-stream push check.
     work_epoch: u64,
 }
@@ -403,7 +433,8 @@ impl Reactor {
             wheel,
             next_gen: 0,
             rr: 0,
-            iteration: 0,
+            last_progress: now,
+            last_cold_sweep: now,
             work_epoch: 0,
         }
     }
@@ -418,7 +449,6 @@ impl Reactor {
                 self.close_all();
                 return;
             }
-            self.iteration += 1;
             let mut progress = false;
 
             // 1. Apply finished handler work.
@@ -454,8 +484,11 @@ impl Reactor {
             }
 
             // 4. Sweep owned connections.
-            let cold_sweep = self.iteration.is_multiple_of(COLD_SWEEP_EVERY);
             let now = Instant::now();
+            let cold_sweep = cold_sweep_due(now, self.last_cold_sweep);
+            if cold_sweep {
+                self.last_cold_sweep = now;
+            }
             for slot in 0..self.slab.len() {
                 progress |= self.sweep_conn(slot, now, cold_sweep, &mut scratch);
             }
@@ -482,8 +515,12 @@ impl Reactor {
                 }
             }
 
-            if !progress {
-                shared.mailboxes[self.id].parker.park_timeout(PARK);
+            if progress {
+                self.last_progress = now;
+            } else {
+                shared.metrics.note_park();
+                let park = park_for(now.duration_since(self.last_progress));
+                shared.mailboxes[self.id].parker.park_timeout(park);
             }
         }
     }
@@ -1007,6 +1044,63 @@ impl Reactor {
                     conn.timers += 1;
                     self.wheel.insert((slot, gen), deadline, now);
                 }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn park_is_an_eighth_of_the_quiet_time_within_floor_and_tick() {
+        let us = Duration::from_micros;
+        assert_eq!(park_for(Duration::ZERO), PARK_FLOOR);
+        assert_eq!(park_for(us(400)), PARK_FLOOR);
+        assert_eq!(park_for(us(800)), us(100));
+        assert_eq!(park_for(us(4_000)), us(500));
+        assert_eq!(park_for(PARK * 8), PARK);
+        assert_eq!(park_for(Duration::from_secs(3_600)), PARK);
+
+        let mut last = Duration::ZERO;
+        for quiet in (0..20_000).step_by(7).map(us) {
+            let park = park_for(quiet);
+            assert!(park >= last, "park shrank at quiet {quiet:?}");
+            assert!(
+                (PARK_FLOOR..=PARK).contains(&park),
+                "park {park:?} at quiet {quiet:?}"
+            );
+            last = park;
+        }
+    }
+
+    #[test]
+    fn cold_tier_is_swept_at_most_once_per_interval_however_fast_the_loop() {
+        let start = Instant::now();
+        let run = Duration::from_secs(1);
+        for step_us in [1, 50, 333, 1_000, 5_000, 17_000] {
+            let step = Duration::from_micros(step_us);
+            let (mut now, mut last) = (start, start);
+            let mut sweeps = vec![start];
+            while now < start + run {
+                now += step;
+                if cold_sweep_due(now, last) {
+                    last = now;
+                    sweeps.push(now);
+                }
+            }
+            assert!(
+                sweeps.len() - 1 <= (run.as_micros() / COLD_SWEEP_EVERY.as_micros()) as usize,
+                "{} cold sweeps at a {step:?} loop",
+                sweeps.len() - 1
+            );
+            for pair in sweeps.windows(2) {
+                let gap = pair[1] - pair[0];
+                assert!(gap >= COLD_SWEEP_EVERY, "sweeps {gap:?} apart");
+                // Never starved either: the first iteration past the
+                // interval sweeps.
+                assert!(gap < COLD_SWEEP_EVERY + step, "sweeps {gap:?} apart");
             }
         }
     }

@@ -10,11 +10,11 @@
 //!
 //! The server exposes [`ServerMetrics`] counters
 //! ([`ApiServer::metrics`]): accepted/open connections, requests,
-//! 503/400 counts, handler panics, idle-timeout closes, and — the one
-//! the scaling claim hangs on — live server threads, maintained by RAII
-//! guards on every thread the server spawns. The 10k-idle-session soak
-//! pins `threads_live == reactor_threads + compute_threads` directly
-//! from these counters.
+//! 503/400 counts, handler panics, idle-timeout closes, reactor parks,
+//! and — the one the scaling claim hangs on — live server threads,
+//! maintained by RAII guards on every thread the server spawns. The
+//! 10k-idle-session soak pins `threads_live == reactor_threads +
+//! compute_threads` directly from these counters.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,6 +117,7 @@ pub struct ServerMetrics {
     idle_closed: AtomicU64,
     write_deadline_closed: AtomicU64,
     threads_live: AtomicU64,
+    reactor_parks: AtomicU64,
 }
 
 impl ServerMetrics {
@@ -147,6 +148,9 @@ impl ServerMetrics {
     pub(crate) fn note_write_deadline_closed(&self) {
         self.write_deadline_closed.fetch_add(1, Ordering::Relaxed);
     }
+    pub(crate) fn note_park(&self) {
+        self.reactor_parks.fetch_add(1, Ordering::Relaxed);
+    }
     pub(crate) fn connections_open(&self) -> u64 {
         self.conns_open.load(Ordering::Relaxed)
     }
@@ -163,6 +167,7 @@ impl ServerMetrics {
             idle_closed: self.idle_closed.load(Ordering::Relaxed),
             write_deadline_closed: self.write_deadline_closed.load(Ordering::Relaxed),
             threads_live: self.threads_live.load(Ordering::Relaxed),
+            reactor_parks: self.reactor_parks.load(Ordering::Relaxed),
         }
     }
 }
@@ -192,6 +197,9 @@ pub struct MetricsSnapshot {
     /// Threads the server currently runs (reactors + compute pool),
     /// maintained by RAII guards on each thread.
     pub threads_live: u64,
+    /// Parks after a sweep that made no progress, summed over reactors:
+    /// an idle server's wake rate. Not served on `GET /api/v2/metrics`.
+    pub reactor_parks: u64,
 }
 
 /// RAII thread accounting: every server thread holds one for its

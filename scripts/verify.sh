@@ -36,9 +36,11 @@
 #               mid-response disconnects, 503 shed + drain recovery
 #               (each at 1/2/8 reactor threads), the idle soak's
 #               thread-count pin (SHEARS_SOAK_SESSIONS=10000 where
-#               `ulimit -n` admits ≥20k fds), reactor-vs-in-process
-#               byte equality, the server/reactor unit tests, and the
-#               parser chunk-partition property tests
+#               `ulimit -n` admits ≥20k fds), the quiet server's park
+#               count, reactor-vs-in-process byte equality, the server
+#               and HTTP unit tests, the reactor's park-length and
+#               cold-sweep policy tests, and the parser chunk-partition
+#               property tests
 #   dist      — only the distributed-execution suite over the work
 #               stream: the stream-framing property tests
 #               (chunk-partition independence, arbitrary bytes and bit
@@ -134,6 +136,7 @@ reactor)
     echo "==> reactor profile: adversarial connection-level battery"
     tests --test api_reactor
     tests -p shears-api server::
+    tests -p shears-api reactor::
     tests -p shears-api http::
     tests --test api_concurrency
     tests --test proptests parser_

@@ -29,6 +29,10 @@
 //!   where the fd limit allows) idle keep-alive sessions hold
 //!   steady-state threads at exactly reactors + compute pool, and the
 //!   fleet still serves afterwards,
+//! * **quiet parks** — a server with two idle keep-alive sessions,
+//!   quiet for 20 ms, parks no more than about once per ms (pinned via
+//!   `reactor_parks`): the proportional park costs an idle server what
+//!   a fixed 1 ms tick did,
 //! * **wire equality** — the reactor answers a request corpus with
 //!   bytes identical to an in-process parse → handle → send of the
 //!   same requests on an identically seeded service.
@@ -453,6 +457,38 @@ fn idle_soak_holds_thread_count_at_reactors_plus_pool() {
         drain_rest_of_response(s, &head);
     }
     drop(fleet);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn quiet_server_parks_no_more_than_once_per_ms() {
+    // A reactor parks for an eighth of its quiet time, capped at 1 ms,
+    // so after 20 ms of quiet it wakes at most once per ms, as a fixed
+    // 1 ms tick did. The bound is one-sided: a busy host only stretches
+    // each park. A fixed 50 µs tick parks thousands of times in the
+    // window and fails it.
+    let server = spawn(1, 1, 16);
+    let addr = server.local_addr();
+    let mut sessions: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    for s in &mut sessions {
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(b"GET /api/v2/credits HTTP/1.1\r\nhost: t\r\n\r\n")
+            .unwrap();
+        drain_one_response(s);
+    }
+    std::thread::sleep(Duration::from_millis(20));
+
+    let (t0, before) = (Instant::now(), server.metrics().reactor_parks);
+    std::thread::sleep(Duration::from_millis(500));
+    let (after, window) = (server.metrics().reactor_parks, t0.elapsed());
+    let parks = after - before;
+    let bound = 1.2 * window.as_secs_f64() * 1e3 + 20.0;
+    assert!(parks > 0, "the reactor never parked in {window:?}");
+    assert!(
+        parks as f64 <= bound,
+        "{parks} parks in {window:?} (bound {bound:.0}): the quiet reactor wakes too often"
+    );
+    assert_eq!(server.metrics().connections_open, 2);
     server.shutdown().unwrap();
 }
 
