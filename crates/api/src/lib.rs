@@ -35,10 +35,10 @@
 //! reactors, which is all this workload needs.
 //!
 //! The read path is built to scale with cores: service state is
-//! sharded per measurement (no global lock on any GET) and stats
-//! responses are cached per measurement, keyed by a results epoch —
-//! see [`service::AtlasService`] and `DESIGN.md` §"API serving data
-//! path".
+//! sharded per measurement (no global lock on any GET), a measurement
+//! never changes after insert, and the first stats GET fills its
+//! `OnceLock` from one frame build — see [`service::AtlasService`] and
+//! `DESIGN.md` §"API serving data path".
 //!
 //! ```no_run
 //! use shears_api::{server::ApiServer, client::ApiClient, service::AtlasService};

@@ -6,6 +6,8 @@
 //! a barrier before the next round starts. The store is therefore
 //! round-major in probe order at every thread count. Randomness is keyed
 //! by `(probe, round)`, so no sample depends on which thread took it.
+//! A durable run journals each round on the loop's own thread while the
+//! next round's shards probe.
 
 use std::path::PathBuf;
 
@@ -406,10 +408,12 @@ impl<'p> Campaign<'p> {
 
     /// Runs the campaign with crash-safe durability: every completed
     /// round is appended to the write-ahead journal at `durability.path`
-    /// before the next round starts, so each sample is written once. If
-    /// the process dies at any point,
+    /// while the next round probes, and before that round is settled,
+    /// so each sample is written once. If the process dies at any point,
     /// [`Campaign::resume`] picks up from the last durable round and the
-    /// final results are bit-identical to an uninterrupted run.
+    /// final results are bit-identical to an uninterrupted run; a kill
+    /// during round r+1 may find round r not yet durable, and resume
+    /// then re-runs it too.
     ///
     /// The rounds run in the same loop as [`Campaign::run_parallel`], so
     /// the store is byte-identical to [`Campaign::run`]'s for every
@@ -494,7 +498,9 @@ impl<'p> Campaign<'p> {
     ) -> (ResultStore, u64, u64) {
         let master = SimRng::new(self.cfg.seed);
         let mut scratch = CreditLedger::new(u64::MAX);
-        let mut store = ResultStore::new();
+        // At most one sample per (probe, target): size every column once.
+        let bound = shard.iter().map(|p| targets[p.id.index()].len()).sum();
+        let mut store = ResultStore::with_capacity(bound);
         for probe in shard {
             self.run_probe_round(
                 prober,
@@ -518,11 +524,13 @@ impl<'p> Campaign<'p> {
     }
 
     /// The campaign's one round loop, shared by every entry point. The
-    /// fleet is split into [`Campaign::shard_ranges`]`(threads)`; each
-    /// round's shard outputs are merged in shard order at a barrier,
-    /// where the round's total charge is debited and then its refunds
-    /// are credited back. With a journal, each round is appended before
-    /// the next one starts.
+    /// fleet is split into [`Campaign::shard_ranges`]`(threads)`, and
+    /// every round's shards probe on threads of their own. Their outputs
+    /// are merged in shard order at a barrier, where the round's total
+    /// charge is debited and then its refunds are credited back. With a
+    /// journal, this thread appends round r while round r+1's shards
+    /// probe, and any journal error is returned before round r+1 is
+    /// settled; the last round is appended after the loop.
     fn run_rounds(
         &self,
         start: u32,
@@ -550,31 +558,34 @@ impl<'p> Campaign<'p> {
             .iter()
             .map(|_| RoundProber::new(self.platform, self.cfg.kind, &table, plan.as_ref()))
             .collect();
+        // The settled round not yet journaled, and its first row.
+        let mut unjournaled: Option<(u32, usize)> = None;
         for round in start..self.cfg.rounds {
-            let round_start = store.len();
-            let shard_results: Vec<(ResultStore, u64, u64)> = if shards.len() == 1 {
-                vec![self.run_shard_round(
-                    &mut probers[0],
-                    shards[0],
-                    targets,
-                    outages.as_deref(),
-                    round,
-                )]
-            } else {
-                std::thread::scope(|s| {
-                    let mut handles = Vec::new();
-                    for (shard, prober) in shards.iter().zip(probers.iter_mut()) {
-                        let outages = &outages;
-                        handles.push(s.spawn(move || {
-                            self.run_shard_round(prober, shard, targets, outages.as_deref(), round)
-                        }));
+            let (journaled, shard_results) = std::thread::scope(|s| {
+                let handles: Vec<_> = shards
+                    .iter()
+                    .zip(probers.iter_mut())
+                    .map(|(shard, prober)| {
+                        let outages = outages.as_deref();
+                        s.spawn(move || {
+                            self.run_shard_round(prober, shard, targets, outages, round)
+                        })
+                    })
+                    .collect();
+                let journaled = match (unjournaled, journal.as_mut()) {
+                    (Some(done), Some((journal, durability))) => {
+                        Self::journal_round(journal, durability, done, store, ledger)
                     }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("campaign shard panicked"))
-                        .collect()
-                })
-            };
+                    _ => Ok(()),
+                };
+                let results: Vec<(ResultStore, u64, u64)> = handles
+                    .into_iter()
+                    .map(|h| h.join().expect("campaign shard panicked"))
+                    .collect();
+                (journaled, results)
+            });
+            journaled?;
+            let round_start = store.len();
             let gross: u64 = shard_results.iter().map(|(_, s, _)| s).sum();
             let refunds: u64 = shard_results.iter().map(|(_, _, r)| r).sum();
             ledger.debit(gross)?;
@@ -582,22 +593,36 @@ impl<'p> Campaign<'p> {
             for (shard_store, _, _) in shard_results {
                 store.merge(shard_store);
             }
-            if let Some((journal, durability)) = journal.as_mut() {
-                // The round becomes durable here: one framed append, and
-                // without per-append fsync, a sync every
-                // `checkpoint_every` rounds.
-                journal.append_round(round, store, round_start, ledger)?;
-                let every = durability.checkpoint_every;
-                if !durability.fsync && every != 0 && (round + 1) % every == 0 {
-                    journal.sync()?;
-                }
-                if durability.crash_after_round == Some(round) {
-                    return Err(CampaignError::SimulatedCrash { round });
-                }
-            }
+            unjournaled = Some((round, round_start));
         }
-        if let Some((journal, _)) = journal {
+        if let Some((journal, durability)) = journal {
+            if let Some(done) = unjournaled {
+                Self::journal_round(journal, durability, done, store, ledger)?;
+            }
             journal.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Makes one settled round durable: one framed append of its rows
+    /// (from `round_start` to the end of `store`) and the ledger after
+    /// it, then, without per-append fsync, a sync every
+    /// `checkpoint_every` rounds. The simulated crash fires here, right
+    /// after its round is journaled.
+    fn journal_round(
+        journal: &mut JournalWriter,
+        durability: &DurabilityConfig,
+        (round, round_start): (u32, usize),
+        store: &ResultStore,
+        ledger: &CreditLedger,
+    ) -> Result<(), CampaignError> {
+        journal.append_round(round, store, round_start, ledger)?;
+        let every = durability.checkpoint_every;
+        if !durability.fsync && every != 0 && (round + 1) % every == 0 {
+            journal.sync()?;
+        }
+        if durability.crash_after_round == Some(round) {
+            return Err(CampaignError::SimulatedCrash { round });
         }
         Ok(())
     }
@@ -763,8 +788,10 @@ pub struct DurabilityConfig {
     /// rewritten: each sample is written once, in its round frame.
     pub checkpoint_every: u32,
     /// `fdatasync` after every append (durable against power loss, not
-    /// just process crashes). Off by default: simulation workloads care
-    /// about process faults.
+    /// just process crashes). The sync runs on the round loop's thread
+    /// while the next round probes, so it delays the run only when it
+    /// outlasts that round's probing. Off by default: simulation
+    /// workloads care about process faults.
     pub fsync: bool,
     /// Test hook: report a simulated crash *after* the given round has
     /// been journaled, leaving the file exactly as a real mid-campaign
@@ -1266,6 +1293,57 @@ mod tests {
         let resumed = Campaign::resume(&p, &d, 1).unwrap();
         assert_eq!(resumed.store, clean.store);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_bytes_match_their_golden_digests() {
+        // FNV-1a over the whole file, frame CRCs included, so neither
+        // the writer's schedule nor the CRC routine can move a byte on
+        // disk without failing here.
+        let p = tiny_platform();
+        let chaos = CampaignConfig {
+            faults: FaultConfig::chaos(),
+            recovery: RetryPolicy::atlas_default(),
+            ..tiny_cfg()
+        };
+        for (profile, cfg, complete, crashed) in [
+            (
+                "fault-free",
+                tiny_cfg(),
+                0x3405_868f_22ba_ac82,
+                0x5c76_2d31_3444_90fa,
+            ),
+            ("chaos", chaos, 0xcdcd_e9af_598f_af08, 0x93cc_f534_67ea_e42e),
+        ] {
+            for threads in [1usize, 2] {
+                for fsync in [false, true] {
+                    for (crash_after_round, golden) in [(None, complete), (Some(1), crashed)] {
+                        let what = format!(
+                            "{profile}, {threads} threads, fsync {fsync}, crash {crash_after_round:?}"
+                        );
+                        let path = tmp_journal("golden");
+                        let d = DurabilityConfig {
+                            fsync,
+                            crash_after_round,
+                            ..DurabilityConfig::new(&path)
+                        };
+                        match (
+                            Campaign::new(&p, cfg).run_durable(threads, &d),
+                            crash_after_round,
+                        ) {
+                            (Ok(_), None) => {}
+                            (Err(CampaignError::SimulatedCrash { round }), Some(kill))
+                                if round == kill => {}
+                            (other, _) => panic!("{what}: {:?}", other.map(|o| o.store.len())),
+                        }
+                        let digest =
+                            shears_netsim::fault::Fnv1a::digest_of(&std::fs::read(&path).unwrap());
+                        let _ = std::fs::remove_file(&path);
+                        assert_eq!(digest, golden, "{what}: digest {digest:#018x}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -379,8 +379,11 @@ fn run_assignment_tcp(
         }
 
         let (frame, gross, refund) = campaign.run_shard(&mut ctx, round);
+        // Encoded before the frame moves into the WAL store; it is sent
+        // only once the round is journaled.
+        let payload = work::frame_submit_payload(worker_id, a.shard, round, gross, refund, &frame);
         let from = wal.store.len();
-        wal.store.merge(frame.clone());
+        wal.store.merge(frame);
         wal.ledger.debit(gross)?;
         wal.ledger.refund(refund);
         wal.writer
@@ -389,7 +392,6 @@ fn run_assignment_tcp(
             return Ok(AssignmentEnd::Exit(WorkerExit::Killed));
         }
 
-        let payload = work::frame_submit_payload(worker_id, a.shard, round, gross, refund, &frame);
         if let Some(end) = push_frame(stream, &mut inflight, round, &payload, a.shard, stats)? {
             return Ok(end);
         }

@@ -15,9 +15,12 @@
 #               recovery sweeps (10 seeds × 3 kill rounds × 3 thread
 #               counts × 2 fault profiles), byte-level damage rejection,
 #               the journal unit tests (the takeover-base checkpoint and
-#               the rejected checkpoints among them), and the campaign
-#               durability tests (the checkpoint-cadence test pins that
-#               a cadence leaves the journal's bytes alone)
+#               the rejected checkpoints among them), the slicing-by-8
+#               CRC against the byte-at-a-time oracle, the journal-bytes
+#               golden (fault-free and chaos × 1/2 threads × fsync
+#               on/off × complete and crashed after round 1), and the
+#               campaign durability tests (the checkpoint-cadence test
+#               pins that a cadence leaves the journal's bytes alone)
 #   api       — only the API serving path: the concurrent reader/writer
 #               stress test over real TCP, the api crate's unit tests
 #               (sharded state, once-per-entry stats, resume
@@ -110,6 +113,8 @@ crash)
     echo "==> crash profile: kill-at-any-round durability sweep"
     tests --test crash_recovery
     tests -p shears-atlas journal::
+    tests -p shears-atlas journal::tests::crc32_slicing_by_8_matches_the_bytewise_oracle
+    tests -p shears-atlas campaign::tests::journal_bytes_match_their_golden_digests
     tests -p shears-atlas campaign::tests::durable
     tests -p shears-atlas campaign::tests::crash
     tests -p shears-atlas campaign::tests::resume
