@@ -28,12 +28,12 @@ use shears_atlas::journal::{
 };
 use shears_atlas::json::{self, ObjectWriter, ToJson};
 use shears_atlas::{CreditLedger, Platform, ResultStore, RetryPolicy, RttSample};
-use shears_netsim::fault::{FaultConfig, FaultPlan};
+use shears_netsim::fault::{FaultConfig, FaultPlan, FaultRouter};
 use shears_netsim::ping::{PingConfig, PingProber};
 use shears_netsim::queue::DiurnalLoad;
 use shears_netsim::stochastic::SimRng;
-use shears_netsim::SimTime;
 use shears_netsim::TracerouteProber;
+use shears_netsim::{RouteTable, SimTime};
 
 use crate::dto::{
     CreateMeasurementDto, CreateTracerouteDto, HopDto, MeasurementDto, MeasurementStatsDto,
@@ -384,15 +384,23 @@ impl AtlasService {
         }
 
         // The fault plan is regenerated from the service seed, so equal
-        // requests observe equal fault schedules. The campaign below
+        // requests observe equal fault schedules; its router answers from
+        // a route table over the selected probes. The campaign below
         // runs without any service lock held: concurrent GETs proceed.
-        let horizon = SimTime::from_hours(u64::from(rounds) + 1);
-        let plan = faults
-            .enabled
-            .then(|| FaultPlan::generate(self.platform.topology(), &faults, self.seed, horizon));
-        let mut prober = match &plan {
-            Some(plan) => PingProber::with_faults(self.platform.topology(), plan),
-            None => PingProber::new(self.platform.topology()),
+        let topo = self.platform.topology();
+        let router = faults.enabled.then(|| {
+            let target = self.platform.dc_node(spec.target_region);
+            let wants: Vec<_> = probes
+                .iter()
+                .map(|p| (self.platform.probe_node(p.id), vec![target]))
+                .collect();
+            let horizon = SimTime::from_hours(u64::from(rounds) + 1);
+            let plan = FaultPlan::generate(topo, &faults, self.seed, horizon);
+            FaultRouter::new(topo, RouteTable::build(topo, &wants, 1), plan)
+        });
+        let mut prober = match &router {
+            Some(router) => PingProber::with_faults(topo, router),
+            None => PingProber::new(topo),
         };
         let master = SimRng::new(self.seed);
         let cfg = PingConfig {

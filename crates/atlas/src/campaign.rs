@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 
-use shears_netsim::fault::{FaultConfig, FaultPlan};
+use shears_netsim::fault::{FaultConfig, FaultPlan, FaultRouter};
 use shears_netsim::ping::{PingConfig, PingProber};
 use shears_netsim::queue::DiurnalLoad;
 use shears_netsim::stochastic::SimRng;
@@ -118,9 +118,16 @@ pub struct Campaign<'p> {
     cfg: CampaignConfig,
 }
 
+/// The routes a campaign's probers share: the fault-free table, or with
+/// fault injection on, a [`FaultRouter`] over it.
+enum Routes {
+    Table(RouteTable),
+    Faults(FaultRouter),
+}
+
 /// The per-worker prober, chosen by the campaign's measurement type.
-/// Every worker reads routes from the campaign's shared [`RouteTable`],
-/// so no shard ever re-runs Dijkstra or clones a path.
+/// Every worker reads routes from the campaign's shared [`Routes`], so
+/// no shard ever re-runs Dijkstra or clones a path.
 enum RoundProber<'t> {
     Ping(PingProber<'t>),
     Tcp(TcpProber<'t>),
@@ -128,25 +135,21 @@ enum RoundProber<'t> {
 
 impl<'t> RoundProber<'t> {
     /// With a fault plan the prober routes through the plan's link-cut
-    /// epochs (the dynamic path); otherwise it reads the shared table.
-    fn new(
-        platform: &'t Platform,
-        kind: MeasurementType,
-        table: &'t RouteTable,
-        faults: Option<&'t FaultPlan>,
-    ) -> Self {
-        match (kind, faults) {
-            (MeasurementType::Ping, None) => {
-                RoundProber::Ping(PingProber::with_table(platform.topology(), table))
+    /// epochs; otherwise it reads the table.
+    fn new(platform: &'t Platform, kind: MeasurementType, routes: &'t Routes) -> Self {
+        let topo = platform.topology();
+        match (kind, routes) {
+            (MeasurementType::Ping, Routes::Table(table)) => {
+                RoundProber::Ping(PingProber::with_table(topo, table))
             }
-            (MeasurementType::Ping, Some(plan)) => {
-                RoundProber::Ping(PingProber::with_faults(platform.topology(), plan))
+            (MeasurementType::Ping, Routes::Faults(router)) => {
+                RoundProber::Ping(PingProber::with_faults(topo, router))
             }
-            (MeasurementType::TcpConnect, None) => {
-                RoundProber::Tcp(TcpProber::with_table(platform.topology(), table))
+            (MeasurementType::TcpConnect, Routes::Table(table)) => {
+                RoundProber::Tcp(TcpProber::with_table(topo, table))
             }
-            (MeasurementType::TcpConnect, Some(plan)) => {
-                RoundProber::Tcp(TcpProber::with_faults(platform.topology(), plan))
+            (MeasurementType::TcpConnect, Routes::Faults(router)) => {
+                RoundProber::Tcp(TcpProber::with_faults(topo, router))
             }
         }
     }
@@ -158,17 +161,30 @@ impl<'p> Campaign<'p> {
         Self { platform, cfg }
     }
 
-    /// The targets of each probe, resolved once (they do not change
-    /// between rounds).
-    fn target_table(&self) -> Vec<Vec<u16>> {
-        self.platform
-            .probes()
-            .iter()
-            .map(|p| {
+    /// The targets of each probe in `range` (probe indices), resolved
+    /// once: they do not change between rounds. The table is indexed by
+    /// probe id over the whole fleet; entries outside `range` stay empty.
+    fn target_table(&self, range: std::ops::Range<usize>) -> Vec<Vec<u16>> {
+        let probes = self.platform.probes();
+        let mut targets = vec![Vec::new(); probes.len()];
+        for (slot, p) in targets[range.clone()].iter_mut().zip(&probes[range]) {
+            *slot =
                 self.platform
-                    .targets_for(p, self.cfg.targets_per_probe, self.cfg.adjacent_targets)
-            })
-            .collect()
+                    .targets_for(p, self.cfg.targets_per_probe, self.cfg.adjacent_targets);
+        }
+        targets
+    }
+
+    /// The routes from each of `probes` to its targets, with the route
+    /// table built over `threads` workers. With fault injection on, each
+    /// link-cut epoch of the plan re-resolves only the table routes its
+    /// cut crosses.
+    fn routes(&self, probes: &[Probe], targets: &[Vec<u16>], threads: usize) -> Routes {
+        let table = self.platform.route_table_for(probes, targets, threads);
+        match self.fault_plan() {
+            Some(plan) => Routes::Faults(FaultRouter::new(self.platform.topology(), table, plan)),
+            None => Routes::Table(table),
+        }
     }
 
     /// Exact upper bound on the samples the fleet can produce over the
@@ -398,7 +414,7 @@ impl<'p> Campaign<'p> {
     /// plus the fleet/target and fault-plan digests a resume validates
     /// against.
     pub fn journal_header(&self) -> JournalHeader {
-        let targets = self.target_table();
+        let targets = self.target_table(0..self.platform.probes().len());
         JournalHeader {
             config: self.cfg,
             fleet_digest: journal::fleet_digest(self.platform.probes(), &targets),
@@ -435,7 +451,7 @@ impl<'p> Campaign<'p> {
         threads: usize,
         journal: Option<(&mut JournalWriter, &DurabilityConfig)>,
     ) -> Result<DurableOutcome, CampaignError> {
-        let targets = self.target_table();
+        let targets = self.target_table(0..self.platform.probes().len());
         let mut store = ResultStore::with_capacity(self.sample_bound(&targets));
         let mut ledger = CreditLedger::new(self.cfg.credits);
         self.run_rounds(0, threads, &targets, &mut store, &mut ledger, journal)?;
@@ -470,7 +486,7 @@ impl<'p> Campaign<'p> {
             .into());
         }
         let mut journal = JournalWriter::open_append(&durability.path, &replay, durability.fsync)?;
-        let targets = campaign.target_table();
+        let targets = campaign.target_table(0..platform.probes().len());
         let mut store = replay.store;
         let mut ledger = replay.ledger;
         campaign.run_rounds(
@@ -541,10 +557,7 @@ impl<'p> Campaign<'p> {
         mut journal: Option<(&mut JournalWriter, &DurabilityConfig)>,
     ) -> Result<(), CampaignError> {
         let probes = self.platform.probes();
-        let table = self
-            .platform
-            .route_table_for(probes, targets, threads.max(1));
-        let plan = self.fault_plan();
+        let routes = self.routes(probes, targets, threads.max(1));
         let master = SimRng::new(self.cfg.seed);
         let outages = self.outage_table(&master);
         let shards: Vec<&[Probe]> = self
@@ -552,11 +565,11 @@ impl<'p> Campaign<'p> {
             .into_iter()
             .map(|range| &probes[range])
             .collect();
-        // Probers persist across rounds so fault-epoch routers stay warm
-        // instead of re-running Dijkstra every round.
+        // Probers persist across rounds, so each allocates its hop-wait
+        // memo once.
         let mut probers: Vec<RoundProber<'_>> = shards
             .iter()
-            .map(|_| RoundProber::new(self.platform, self.cfg.kind, &table, plan.as_ref()))
+            .map(|_| RoundProber::new(self.platform, self.cfg.kind, &routes))
             .collect();
         // The settled round not yet journaled, and its first row.
         let mut unjournaled: Option<(u32, usize)> = None;
@@ -647,8 +660,9 @@ impl<'p> Campaign<'p> {
 
     /// Builds the execution context for shard `shard` of a `count`-way
     /// partition (see [`Campaign::shard_ranges`]). The context resolves
-    /// the target table, fault plan, and churn outages eagerly; the
-    /// shard's route table is built lazily on the first
+    /// the shard's own probes' targets and the churn outages eagerly; the
+    /// shard's routes (its route table and, with fault injection on, the
+    /// re-routes of each link-cut epoch) are built lazily on the first
     /// [`Campaign::run_shard`] call, so a coordinator that only ever
     /// synthesises lost rounds never pays for routing.
     ///
@@ -661,11 +675,10 @@ impl<'p> Campaign<'p> {
         ShardContext {
             shard: shard as u32,
             count: ranges.len() as u32,
+            targets: self.target_table(range.clone()),
             range,
-            targets: self.target_table(),
-            plan: self.fault_plan(),
             outages: self.outage_table(&master),
-            table: None,
+            routes: None,
         }
     }
 
@@ -695,10 +708,10 @@ impl<'p> Campaign<'p> {
         // Routes for exactly the shard's probe→DC pairs (the table is
         // keyed by node pair, so a subset build answers every lookup the
         // shard will make while skipping the rest of the fleet's searches).
-        let table = ctx
-            .table
-            .get_or_insert_with(|| self.platform.route_table_for(shard, &ctx.targets, 1));
-        let mut prober = RoundProber::new(self.platform, self.cfg.kind, table, ctx.plan.as_ref());
+        let routes = ctx
+            .routes
+            .get_or_insert_with(|| self.routes(shard, &ctx.targets, 1));
+        let mut prober = RoundProber::new(self.platform, self.cfg.kind, routes);
         self.run_shard_round(
             &mut prober,
             shard,
@@ -745,19 +758,19 @@ impl<'p> Campaign<'p> {
 }
 
 /// Everything a worker needs to execute one shard of a campaign round
-/// by round: the shard's probe range and partition coordinates, the
-/// resolved target table, the materialised fault plan and churn
-/// outages, and (built lazily) the shard-restricted route table. Built
-/// once per assignment via [`Campaign::shard_context`], then fed to
-/// [`Campaign::run_shard`] for each round.
+/// by round: the shard's probe range and partition coordinates, its
+/// probes' targets, the churn outages, and (built lazily) the
+/// shard-restricted routes. Built once per assignment via
+/// [`Campaign::shard_context`], then fed to [`Campaign::run_shard`] for
+/// each round.
 pub struct ShardContext {
     shard: u32,
     count: u32,
     range: std::ops::Range<usize>,
+    /// Indexed by probe id; only the shard's own entries are filled.
     targets: Vec<Vec<u16>>,
-    plan: Option<FaultPlan>,
     outages: Option<Vec<OutageSchedule>>,
-    table: Option<RouteTable>,
+    routes: Option<Routes>,
 }
 
 impl ShardContext {
@@ -1170,6 +1183,57 @@ mod tests {
         assert_eq!(par, seq);
     }
 
+    /// FNV-1a over every column of every row, floats by their bits.
+    fn store_digest(store: &ResultStore) -> u64 {
+        let mut h = shears_netsim::fault::Fnv1a::new();
+        for s in store.iter() {
+            h.write_u64(u64::from(s.probe.0));
+            h.write_u64(u64::from(s.region));
+            h.write_u64(s.at.as_nanos());
+            h.write_u64(u64::from(s.min_ms.to_bits()));
+            h.write_u64(u64::from(s.avg_ms.to_bits()));
+            h.write(&[s.sent, s.received]);
+        }
+        h.finish()
+    }
+
+    /// A `chaos` campaign whose link cuts cross routes the fleet samples.
+    fn rerouting_chaos_cfg() -> CampaignConfig {
+        CampaignConfig {
+            rounds: 4,
+            seed: 5,
+            faults: FaultConfig::chaos(),
+            recovery: RetryPolicy::atlas_default(),
+            ..tiny_cfg()
+        }
+    }
+
+    #[test]
+    fn chaos_cut_reroutes_match_their_golden_store_digest() {
+        use shears_netsim::Router;
+        let p = tiny_platform();
+        let campaign = Campaign::new(&p, rerouting_chaos_cfg());
+        let store = campaign.run().unwrap();
+        // Counted against per-epoch routers, not the campaign's own
+        // routing: the golden only pins cut handling if some sample's
+        // route changes under a cut.
+        let plan = campaign.fault_plan().expect("chaos enables faults");
+        let mut healthy = Router::new(p.topology());
+        let mut cut: Vec<Router> = (0..plan.epoch_count())
+            .map(|e| Router::with_disabled(p.topology(), plan.epoch_disabled(e).clone()))
+            .collect();
+        let rerouted = store
+            .iter()
+            .filter(|s| {
+                let (from, to) = (p.probe_node(s.probe), p.dc_node(s.region as usize));
+                cut[plan.epoch_at(s.at)].path(from, to) != healthy.path(from, to)
+            })
+            .count();
+        assert!(rerouted > 0, "no sampled pair crosses a cut");
+        let digest = store_digest(&store);
+        assert_eq!(digest, 0x54c9_cd1e_cf20_6a5b, "digest {digest:#018x}");
+    }
+
     fn tmp_journal(tag: &str) -> std::path::PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
@@ -1379,30 +1443,33 @@ mod tests {
     #[test]
     fn public_shard_rounds_merge_to_run_bit_for_bit() {
         let p = tiny_platform();
-        let cfg = tiny_cfg();
-        let c = Campaign::new(&p, cfg);
-        let expected = c.run().unwrap();
+        for cfg in [tiny_cfg(), rerouting_chaos_cfg()] {
+            let c = Campaign::new(&p, cfg);
+            let expected = c.run().unwrap();
 
-        for count in [1usize, 3] {
-            let shards = c.shard_ranges(count).len();
-            let mut ctxs: Vec<ShardContext> =
-                (0..shards).map(|s| c.shard_context(s, count)).collect();
-            let mut store = ResultStore::new();
-            let mut ledger = CreditLedger::new(cfg.credits);
-            for round in 0..cfg.rounds {
-                let outputs: Vec<_> = ctxs.iter_mut().map(|ctx| c.run_shard(ctx, round)).collect();
-                let gross: u64 = outputs.iter().map(|(_, g, _)| g).sum();
-                let refunds: u64 = outputs.iter().map(|(_, _, r)| r).sum();
-                ledger.debit(gross).unwrap();
-                ledger.refund(refunds);
-                for (shard_store, _, _) in outputs {
-                    store.merge(shard_store);
+            for count in [1usize, 3] {
+                let shards = c.shard_ranges(count).len();
+                let mut ctxs: Vec<ShardContext> =
+                    (0..shards).map(|s| c.shard_context(s, count)).collect();
+                let mut store = ResultStore::new();
+                let mut ledger = CreditLedger::new(cfg.credits);
+                for round in 0..cfg.rounds {
+                    let outputs: Vec<_> =
+                        ctxs.iter_mut().map(|ctx| c.run_shard(ctx, round)).collect();
+                    let gross: u64 = outputs.iter().map(|(_, g, _)| g).sum();
+                    let refunds: u64 = outputs.iter().map(|(_, _, r)| r).sum();
+                    ledger.debit(gross).unwrap();
+                    ledger.refund(refunds);
+                    for (shard_store, _, _) in outputs {
+                        store.merge(shard_store);
+                    }
                 }
+                assert_eq!(
+                    store, expected,
+                    "{count}-way public shard merge must equal run() ({:?})",
+                    cfg.faults.enabled
+                );
             }
-            assert_eq!(
-                store, expected,
-                "{count}-way public shard merge must equal run()"
-            );
         }
     }
 

@@ -293,21 +293,6 @@ impl ResultStore {
         self.received.extend(other.received);
     }
 
-    /// Whether `self` is a strict row-for-row prefix of `other` (equal
-    /// length counts as a prefix too): a journal replayed after a crash
-    /// holds a prefix of the uninterrupted run's rows.
-    pub fn is_prefix_of(&self, other: &ResultStore) -> bool {
-        let n = self.len();
-        n <= other.len()
-            && self.probe == other.probe[..n]
-            && self.region == other.region[..n]
-            && self.at == other.at[..n]
-            && self.min_ms == other.min_ms[..n]
-            && self.avg_ms == other.avg_ms[..n]
-            && self.sent == other.sent[..n]
-            && self.received == other.received[..n]
-    }
-
     /// Serialises to JSON Lines (one sample per line), the format the
     /// public dataset download uses. Every record is written directly
     /// into one output buffer — no per-sample `String` allocation.
@@ -433,23 +418,6 @@ mod tests {
             assert_eq!(s.received, st.received()[i]);
             assert_eq!(s.responded(), st.responded_at(i));
         }
-    }
-
-    #[test]
-    fn prefix_detection_is_row_exact() {
-        let mut a = ResultStore::new();
-        a.push(sample(1, 10, 0, 12.0));
-        a.push(sample(2, 11, 1, 15.0));
-        let mut b = a.clone();
-        b.push(sample(3, 12, 2, 20.0));
-        assert!(a.is_prefix_of(&b));
-        assert!(a.is_prefix_of(&a.clone()));
-        assert!(!b.is_prefix_of(&a), "longer store is not a prefix");
-        // A same-length store with one differing field is not a prefix.
-        let mut c = a.clone();
-        let (_, _, _, min_ms, ..) = c.columns_mut();
-        min_ms[1] = 99.0;
-        assert!(!c.is_prefix_of(&b));
     }
 
     #[test]

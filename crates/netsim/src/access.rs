@@ -153,6 +153,12 @@ impl AccessLink {
 
     /// Samples the one-way access delay for a single packet at the given
     /// moment: jittered base plus a possible bufferbloat episode.
+    ///
+    /// Always inlined: `PathSampler::sample_one_way_ms`, the per-hop loop
+    /// of every ping, calls it for the access hop, and the inliner's size
+    /// heuristics otherwise leave it out of line there depending on
+    /// unrelated code elsewhere in the crate, which slows a campaign.
+    #[inline(always)]
     pub fn sample_one_way_ms(&self, rng: &mut SimRng) -> f64 {
         let base = self.floor_one_way_ms();
         let body = rng.lognormal(base, self.tech.jitter_sigma());

@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use crate::routing::Router;
+use crate::routing::{PathRef, Reroutes, RouteTable};
 use crate::stochastic::SimRng;
 use crate::time::SimTime;
 use crate::topology::{LinkClass, LinkId, NodeId, NodeKind, Topology};
@@ -491,6 +491,11 @@ impl FaultPlan {
         self.epochs.partition_point(|e| e.start <= t) - 1
     }
 
+    /// The instant epoch `idx` begins.
+    pub fn epoch_start(&self, idx: usize) -> SimTime {
+        self.epochs[idx].start
+    }
+
     /// The links cut during epoch `idx`.
     pub fn epoch_disabled(&self, idx: usize) -> &HashSet<LinkId> {
         &self.epochs[idx].disabled
@@ -663,57 +668,75 @@ fn draw_window(rng: &mut SimRng, horizon_ms: f64, mean_hours: f64) -> Window {
     Window { start, end }
 }
 
-/// Time-aware router over a [`FaultPlan`]: one lazily-built
-/// [`Router::with_disabled`] per routing epoch.
+/// Time-aware routing over a [`FaultPlan`], answered from a fault-free
+/// [`RouteTable`].
 ///
-/// Lookups are deterministic because each epoch's router sees exactly the
-/// epoch's disabled-link set, and epoch boundaries are fixed by the plan —
-/// nothing depends on query order beyond per-epoch warm-cache reuse.
-pub struct FaultRouter<'t> {
-    topo: &'t Topology,
-    plan: &'t FaultPlan,
-    routers: Vec<Option<Router<'t>>>,
+/// For each routing epoch that cuts links, the table's routes that cross
+/// the cut are re-resolved once, at construction, by the table's
+/// `reroute` step; an epoch that cuts nothing adds nothing. A
+/// lookup finds the epoch of its instant by binary search and reads the
+/// epoch's re-route or, for a pair the cut does not cross, the table. It
+/// never searches or allocates, so one router is shared read-only by
+/// every prober of a campaign. Each route equals what
+/// `Router::with_disabled` over the epoch's cut set resolves, in links,
+/// nodes and floor bits; a pair the table does not hold resolves to
+/// `None`, as in the table.
+pub struct FaultRouter {
+    table: RouteTable,
+    plan: FaultPlan,
+    /// Per routing epoch, its cut's re-routes (`None`: it cuts nothing).
+    reroutes: Vec<Option<Reroutes>>,
 }
 
-impl std::fmt::Debug for FaultRouter<'_> {
+impl std::fmt::Debug for FaultRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultRouter")
             .field("plan", &self.plan.label())
-            .field("epochs", &self.routers.len())
+            .field("epochs", &self.reroutes.len())
+            .field("routes", &self.table.route_count())
             .finish()
     }
 }
 
-impl<'t> FaultRouter<'t> {
-    /// Create a router for `plan` over `topo`.
-    pub fn new(topo: &'t Topology, plan: &'t FaultPlan) -> FaultRouter<'t> {
-        let mut routers = Vec::new();
-        routers.resize_with(plan.epoch_count(), || None);
+impl FaultRouter {
+    /// Routes `table`'s pairs over `topo` under `plan`'s link cuts.
+    pub fn new(topo: &Topology, table: RouteTable, plan: FaultPlan) -> FaultRouter {
+        let reroutes = (0..plan.epoch_count())
+            .map(|epoch| {
+                let cut = plan.epoch_disabled(epoch);
+                (!cut.is_empty()).then(|| table.reroute(topo, cut))
+            })
+            .collect();
         FaultRouter {
-            topo,
+            table,
             plan,
-            routers,
+            reroutes,
         }
     }
 
-    /// The plan this router consults.
-    pub fn plan(&self) -> &'t FaultPlan {
-        self.plan
+    /// The plan this router follows.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
     }
 
-    /// Shortest path from `from` to `to` under the faults active at `t`, or
-    /// `None` when the cut set disconnects the pair.
-    pub fn path_at(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        t: SimTime,
-    ) -> Option<&crate::routing::PathInfo> {
-        let idx = self.plan.epoch_at(t);
-        let router = self.routers[idx].get_or_insert_with(|| {
-            Router::with_disabled(self.topo, self.plan.epoch_disabled(idx).clone())
-        });
-        router.path(from, to)
+    /// Shortest path from `from` to `to` under the cuts in effect at `t`,
+    /// or `None` when they disconnect the pair or the table does not hold
+    /// it.
+    pub fn path_at(&self, from: NodeId, to: NodeId, t: SimTime) -> Option<PathRef<'_>> {
+        let reroutes = self.reroutes[self.plan.epoch_at(t)].as_ref();
+        match reroutes.and_then(|r| r.path(from, to)) {
+            Some(rerouted) => rerouted,
+            None => self.table.path(from, to),
+        }
+    }
+}
+
+#[cfg(test)]
+impl FaultRouter {
+    /// The router of `plan` over a table holding only the `from`→`to`
+    /// route.
+    pub(crate) fn for_pair(topo: &Topology, from: NodeId, to: NodeId, plan: FaultPlan) -> Self {
+        FaultRouter::new(topo, RouteTable::build(topo, &[(from, vec![to])], 1), plan)
     }
 }
 
@@ -819,6 +842,7 @@ mod tests {
 
     #[test]
     fn fault_router_reroutes_inside_cut_window() {
+        use crate::routing::Router;
         let topo = grid_topology();
         let probe = topo.nodes_of_kind(NodeKind::ProbeHost)[0];
         let dc = topo.nodes_of_kind(NodeKind::Datacenter)[0];
@@ -838,23 +862,24 @@ mod tests {
         });
         plan.rebuild_epochs();
 
-        let mut faulty = FaultRouter::new(&topo, &plan);
-        let healthy_links = faulty
-            .path_at(probe, dc, SimTime::ZERO)
-            .unwrap()
-            .links
-            .clone();
-        let rerouted_links = faulty
-            .path_at(probe, dc, SimTime::from_hours(15))
-            .unwrap()
-            .links
-            .clone();
-        assert!(!rerouted_links.contains(&direct));
-        assert_ne!(healthy_links, rerouted_links);
+        let faulty = FaultRouter::for_pair(&topo, probe, dc, plan);
+        let healthy = faulty.path_at(probe, dc, SimTime::ZERO).unwrap();
+        let rerouted = faulty.path_at(probe, dc, SimTime::from_hours(15)).unwrap();
+        assert!(!rerouted.links.contains(&direct));
+        assert_ne!(healthy.links, rerouted.links);
+        assert_eq!(
+            faulty.path_at(probe, dc, SimTime::from_hours(20)),
+            Some(healthy),
+            "the cut ends"
+        );
 
         // And it matches a plain router with the same disabled set.
         let mut reference = Router::with_disabled(&topo, [direct].into_iter().collect());
-        assert_eq!(reference.path(probe, dc).unwrap().links, rerouted_links);
+        assert_eq!(
+            reference.path(probe, dc).unwrap().as_path_ref(),
+            rerouted,
+            "links, nodes and floor"
+        );
     }
 
     #[test]
@@ -868,7 +893,7 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
         let plan = FaultPlan::permanent_cut("total", backbone);
-        let mut faulty = FaultRouter::new(&topo, &plan);
+        let faulty = FaultRouter::for_pair(&topo, probe, dc, plan);
         assert!(faulty.path_at(probe, dc, SimTime::ZERO).is_none());
         assert!(faulty.path_at(probe, dc, SimTime::from_days(400)).is_none());
     }

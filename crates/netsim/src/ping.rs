@@ -521,7 +521,7 @@ impl<'t> PingProber<'t> {
     pub fn new(topo: &'t Topology) -> Self {
         Self {
             topo,
-            routes: RouteSource::Dynamic(Router::new(topo)),
+            routes: RouteSource::Dynamic(Box::new(Router::new(topo))),
             faults: None,
             memo: WaitMemo::new(),
         }
@@ -539,15 +539,17 @@ impl<'t> PingProber<'t> {
         }
     }
 
-    /// Creates a fault-aware prober: routes follow `plan`'s link-cut
-    /// epochs, packets traverse its loss/latency bursts, and blacked-out
-    /// endpoints answer nothing. With an empty plan the prober is
-    /// bit-identical to [`PingProber::new`].
-    pub fn with_faults(topo: &'t Topology, plan: &'t FaultPlan) -> Self {
+    /// Creates a fault-aware prober over a shared [`FaultRouter`]: routes
+    /// follow its plan's link-cut epochs, packets traverse the plan's
+    /// loss/latency bursts, and blacked-out endpoints answer nothing. The
+    /// router may be shared read-only across any number of probers and
+    /// threads. With an empty plan the prober is bit-identical to
+    /// [`PingProber::with_table`] over the router's table.
+    pub fn with_faults(topo: &'t Topology, router: &'t FaultRouter) -> Self {
         Self {
             topo,
-            routes: RouteSource::Faulty(FaultRouter::new(topo, plan)),
-            faults: Some(plan),
+            routes: RouteSource::Faulty(router),
+            faults: Some(router.plan()),
             memo: WaitMemo::new(),
         }
     }
@@ -964,12 +966,11 @@ mod tests {
                 ),
                 crate::fault::FaultPlan::generate(topo, &lossy, seed, horizon),
             ];
-            let mut probers: Vec<(
-                PingProber,
-                TcpProber,
-                RouteSource,
-                Option<&crate::fault::FaultPlan>,
-            )> = vec![
+            let routers: Vec<FaultRouter> = plans
+                .iter()
+                .map(|plan| FaultRouter::new(topo, table.clone(), plan.clone()))
+                .collect();
+            let mut probers: Vec<(PingProber, TcpProber, RouteSource, Option<&FaultPlan>)> = vec![
                 (
                     PingProber::with_table(topo, &table),
                     TcpProber::with_table(topo, &table),
@@ -979,16 +980,16 @@ mod tests {
                 (
                     PingProber::new(topo),
                     TcpProber::new(topo),
-                    RouteSource::Dynamic(crate::Router::new(topo)),
+                    RouteSource::Dynamic(Box::new(crate::Router::new(topo))),
                     None,
                 ),
             ];
-            for plan in &plans {
+            for router in &routers {
                 probers.push((
-                    PingProber::with_faults(topo, plan),
-                    TcpProber::with_faults(topo, plan),
-                    RouteSource::Faulty(crate::FaultRouter::new(topo, plan)),
-                    Some(plan),
+                    PingProber::with_faults(topo, router),
+                    TcpProber::with_faults(topo, router),
+                    RouteSource::Faulty(router),
+                    Some(router.plan()),
                 ));
             }
             for (k, &(probe, access)) in probes.iter().enumerate() {
@@ -1298,7 +1299,7 @@ mod tests {
         // The chaos machinery's bit-identity pin: attaching an empty
         // fault plan must not move a single RNG draw or delay.
         let (t, probe, dc) = simple_net();
-        let plan = crate::fault::FaultPlan::empty("noop");
+        let router = FaultRouter::for_pair(&t, probe, dc, FaultPlan::empty("noop"));
         for seed in [1u64, 7, 42, 99] {
             let run = |prober: &mut PingProber| {
                 let mut rng = SimRng::new(seed);
@@ -1315,7 +1316,7 @@ mod tests {
                     .unwrap()
             };
             let dynamic = run(&mut PingProber::new(&t));
-            let faulty = run(&mut PingProber::with_faults(&t, &plan));
+            let faulty = run(&mut PingProber::with_faults(&t, &router));
             assert_eq!(dynamic, faulty, "seed {seed}");
         }
     }
@@ -1334,7 +1335,8 @@ mod tests {
             .map(SimTime::from_hours)
             .find(|&at| plan.node_down(dc, at) && plan.node_down(dc, at + SimTime::from_secs(3)))
             .expect("64 long blackouts must cover some probed instant");
-        let mut prober = PingProber::with_faults(&t, &plan);
+        let faulty = FaultRouter::for_pair(&t, probe, dc, plan);
+        let mut prober = PingProber::with_faults(&t, &faulty);
         let mut rng = SimRng::new(5);
         let out = prober
             .ping(
@@ -1384,7 +1386,8 @@ mod tests {
             lost
         };
         let clean = count_losses(&mut PingProber::new(&t));
-        let bursty = count_losses(&mut PingProber::with_faults(&t, &plan));
+        let faulty = FaultRouter::for_pair(&t, probe, dc, plan);
+        let bursty = count_losses(&mut PingProber::with_faults(&t, &faulty));
         assert!(
             bursty > clean + 50,
             "a 50%-extra loss burst must show up: clean {clean}, bursty {bursty}"

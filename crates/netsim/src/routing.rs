@@ -14,13 +14,15 @@
 //! paths):
 //!
 //! * [`Router`] — incremental, per-pair, with a cache and optional
-//!   disabled links. The dynamic / failure-injection path.
+//!   disabled links. The dynamic path.
 //! * [`RouteTable`] — all probe→target routes resolved up front, one
 //!   shortest-path tree per *chain head* (see [`RouteTable::build`]: the
 //!   probes behind one metro PoP share a search), stored in a flat
 //!   CSR-style arena and shared read-only across campaign shards. The
 //!   frozen fast path: lookups hand out borrowed [`PathRef`]s, never
-//!   cloning.
+//!   cloning. Its `reroute` step re-resolves the routes a set of cut
+//!   links crosses, which is all a link-cut epoch of a fault plan
+//!   changes (see [`crate::fault::FaultRouter`]).
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -308,13 +310,13 @@ fn replay_floor_ms(topo: &Topology, nodes: &[NodeId], links: &[LinkId]) -> f64 {
     d
 }
 
-/// Dijkstra router with a per-source cache.
+/// Dijkstra router with a per-(source, target) cache.
 ///
-/// The measurement campaign resolves the same probe→DC pairs for every
-/// round, so the cache turns routing into a one-time cost. The cache is
-/// invalidated by generation: callers that mutate the topology must
-/// create a new router (the borrow checker enforces this at compile time
-/// since the router borrows the topology).
+/// The first lookup of a pair runs one single-target search from the
+/// source; later lookups of the pair are a hash hit. Nothing is ever
+/// invalidated: the router borrows its topology, so the topology cannot
+/// change while the router lives, and the disabled links are fixed at
+/// construction.
 pub struct Router<'t> {
     topo: &'t Topology,
     cache: HashMap<(NodeId, NodeId), Option<PathInfo>>,
@@ -582,50 +584,127 @@ impl RouteTable {
             .filter_map(|(_, route)| route)
             .map(|[(_, a), (_, b)]| a.len() + b.len())
             .sum();
-        let mut table = Self {
-            nodes: Vec::with_capacity(total_links + route_upper),
-            links: Vec::with_capacity(total_links),
-            base: Vec::with_capacity(route_upper),
-            offsets: Vec::with_capacity(route_upper + 1),
-            index: HashMap::with_capacity(route_upper),
-        };
-        table.offsets.push(0);
+        let mut table = Self::with_capacity(route_upper, total_links);
         for (pair, route) in routes() {
-            let Some(parts) = route else { continue };
-            use std::collections::hash_map::Entry;
-            let Entry::Vacant(slot) = table.index.entry(pair) else {
-                continue; // duplicate request: first resolution wins
-            };
-            let route = u32::try_from(table.base.len()).expect("route table route limit");
-            slot.insert(route);
-            let (first_node, first_link) = (table.nodes.len(), table.links.len());
-            for (nodes, links) in parts {
-                table.nodes.extend_from_slice(nodes);
-                table.links.extend_from_slice(links);
+            if let Some(parts) = route {
+                table.push(pair, parts, |nodes, links| {
+                    replay_floor_ms(topo, nodes, links)
+                });
             }
-            table.base.push(replay_floor_ms(
-                topo,
-                &table.nodes[first_node..],
-                &table.links[first_link..],
-            ));
-            let end = u32::try_from(table.links.len()).expect("route table arena limit");
-            table.offsets.push(end);
         }
         table
+    }
+
+    /// The routes of this table that cross a link in `cut`, re-resolved
+    /// around the cut: one search from each source over its crossing
+    /// targets, in route order. Each route equals
+    /// `Router::with_disabled(topo, cut)`'s in links, nodes and floor
+    /// bits, or is severed when the cut disconnects its pair.
+    ///
+    /// Every other route of the table stands under the cut unchanged:
+    /// removing links a delay-shortest path does not use leaves it
+    /// shortest, and Dijkstra's `(dist, node id)` pop order and
+    /// strict-improvement predecessor rule pick it again, bit for bit.
+    pub(crate) fn reroute(&self, topo: &Topology, cut: &HashSet<LinkId>) -> Reroutes {
+        let mut is_cut = vec![false; topo.link_count()];
+        for link in cut {
+            if let Some(flag) = is_cut.get_mut(link.index()) {
+                *flag = true;
+            }
+        }
+        // Routes are stored source by source, so consecutive crossing
+        // routes of one source share its search.
+        let mut wants: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+        for route in (0..self.route_count()).map(|r| self.route(r)) {
+            if !route.links.iter().any(|link| is_cut[link.index()]) {
+                continue;
+            }
+            let (from, to) = (route.source(), route.dest());
+            match wants.last_mut() {
+                Some((source, targets)) if *source == from => targets.push(to),
+                _ => wants.push((from, vec![to])),
+            }
+        }
+        let mut reroutes = Reroutes {
+            routes: Self::with_capacity(wants.iter().map(|(_, t)| t.len()).sum(), 0),
+            severed: HashSet::new(),
+        };
+        let mut scratch = DijkstraScratch::default();
+        for (from, targets) in &wants {
+            let paths = shortest_paths(topo, cut, *from, targets, &mut scratch);
+            for (&to, path) in targets.iter().zip(paths) {
+                let pair = (*from, to);
+                match path {
+                    Some(p) => {
+                        let parts = [(&p.nodes[..], &p.links[..])];
+                        reroutes.routes.push(pair, parts, |_, _| p.base_one_way_ms);
+                    }
+                    None => {
+                        reroutes.severed.insert(pair);
+                    }
+                }
+            }
+        }
+        reroutes
+    }
+
+    /// An empty table with room for `routes` routes of `links` links in
+    /// all.
+    fn with_capacity(routes: usize, links: usize) -> Self {
+        let mut offsets = Vec::with_capacity(routes + 1);
+        offsets.push(0);
+        Self {
+            nodes: Vec::with_capacity(links + routes),
+            links: Vec::with_capacity(links),
+            base: Vec::with_capacity(routes),
+            offsets,
+            index: HashMap::with_capacity(routes),
+        }
+    }
+
+    /// Appends the route of `pair` from its node and link pieces, in
+    /// order; `floor` computes the route's one-way floor from its
+    /// assembled nodes and links. A pair already in the table keeps its
+    /// first route.
+    fn push<'a>(
+        &mut self,
+        pair: (NodeId, NodeId),
+        parts: impl IntoIterator<Item = (&'a [NodeId], &'a [LinkId])>,
+        floor: impl FnOnce(&[NodeId], &[LinkId]) -> f64,
+    ) {
+        use std::collections::hash_map::Entry;
+        let Entry::Vacant(slot) = self.index.entry(pair) else {
+            return; // duplicate request: first resolution wins
+        };
+        slot.insert(u32::try_from(self.base.len()).expect("route table route limit"));
+        let (first_node, first_link) = (self.nodes.len(), self.links.len());
+        for (nodes, links) in parts {
+            self.nodes.extend_from_slice(nodes);
+            self.links.extend_from_slice(links);
+        }
+        self.base
+            .push(floor(&self.nodes[first_node..], &self.links[first_link..]));
+        let end = u32::try_from(self.links.len()).expect("route table arena limit");
+        self.offsets.push(end);
+    }
+
+    /// The arena slices of route number `route`.
+    fn route(&self, route: usize) -> PathRef<'_> {
+        let l0 = self.offsets[route] as usize;
+        let l1 = self.offsets[route + 1] as usize;
+        PathRef {
+            links: &self.links[l0..l1],
+            nodes: &self.nodes[l0 + route..l1 + route + 1],
+            base_one_way_ms: self.base[route],
+        }
     }
 
     /// The precomputed route from `from` to `to`, or `None` if the pair
     /// was not requested at build time or is disconnected. A lookup is
     /// one hash probe; the returned [`PathRef`] borrows the arena.
     pub fn path(&self, from: NodeId, to: NodeId) -> Option<PathRef<'_>> {
-        let route = *self.index.get(&(from, to))? as usize;
-        let l0 = self.offsets[route] as usize;
-        let l1 = self.offsets[route + 1] as usize;
-        Some(PathRef {
-            links: &self.links[l0..l1],
-            nodes: &self.nodes[l0 + route..l1 + route + 1],
-            base_one_way_ms: self.base[route],
-        })
+        let route = *self.index.get(&(from, to))?;
+        Some(self.route(route as usize))
     }
 
     /// Whether the table holds a route for the pair.
@@ -650,17 +729,40 @@ impl RouteTable {
     }
 }
 
+/// The routes of a [`RouteTable`] that a set of cut links crosses,
+/// re-resolved around the cut by [`RouteTable::reroute`].
+pub(crate) struct Reroutes {
+    /// The crossing pairs that stay connected, with their new routes.
+    routes: RouteTable,
+    /// The crossing pairs the cut disconnects.
+    severed: HashSet<(NodeId, NodeId)>,
+}
+
+impl Reroutes {
+    /// The route of `(from, to)` under the cut: `None` when the pair
+    /// does not cross the cut (its table route stands), `Some(None)` when
+    /// the cut disconnects it.
+    pub(crate) fn path(&self, from: NodeId, to: NodeId) -> Option<Option<PathRef<'_>>> {
+        match self.routes.path(from, to) {
+            Some(path) => Some(Some(path)),
+            None => self.severed.contains(&(from, to)).then_some(None),
+        }
+    }
+}
+
 /// Where a prober gets its routes: a private incremental [`Router`]
-/// (dynamic topologies, failure injection) or a shared read-only
-/// [`RouteTable`] (frozen campaign hot path).
+/// (dynamic topologies), a shared read-only [`RouteTable`] (frozen
+/// campaign hot path) or a shared [`crate::fault::FaultRouter`] (the
+/// table under a fault plan's link cuts).
 pub enum RouteSource<'t> {
     /// Per-prober cached Dijkstra; supports disabled links.
-    Dynamic(Router<'t>),
+    Dynamic(Box<Router<'t>>),
     /// Borrowed precomputed table; zero per-lookup allocation.
     Shared(&'t RouteTable),
-    /// Time-aware routing over a fault plan: one cached router per
-    /// link-cut epoch (see [`crate::fault::FaultRouter`]).
-    Faulty(crate::fault::FaultRouter<'t>),
+    /// Borrowed time-aware routes: the fault-free table, with the routes
+    /// each link-cut epoch crosses re-resolved up front. Lookups never
+    /// search or allocate.
+    Faulty(&'t crate::fault::FaultRouter),
 }
 
 impl RouteSource<'_> {
@@ -678,7 +780,7 @@ impl RouteSource<'_> {
         match self {
             RouteSource::Dynamic(router) => router.path(from, to).map(PathInfo::as_path_ref),
             RouteSource::Shared(table) => table.path(from, to),
-            RouteSource::Faulty(faulty) => faulty.path_at(from, to, t).map(PathInfo::as_path_ref),
+            RouteSource::Faulty(faulty) => faulty.path_at(from, to, t),
         }
     }
 }
@@ -1040,7 +1142,7 @@ mod tests {
     fn route_source_dynamic_and_shared_agree() {
         let (t, ids) = line();
         let table = RouteTable::build(&t, &[(ids[0], vec![ids[3]])], 1);
-        let mut dynamic = RouteSource::Dynamic(Router::new(&t));
+        let mut dynamic = RouteSource::Dynamic(Box::new(Router::new(&t)));
         let mut shared = RouteSource::Shared(&table);
         let a = dynamic.path(ids[0], ids[3]).unwrap().to_path_info();
         let b = shared.path(ids[0], ids[3]).unwrap().to_path_info();

@@ -73,7 +73,7 @@ impl<'t> TcpProber<'t> {
     pub fn new(topo: &'t Topology) -> Self {
         Self {
             topo,
-            routes: RouteSource::Dynamic(Router::new(topo)),
+            routes: RouteSource::Dynamic(Box::new(Router::new(topo))),
             faults: None,
             memo: WaitMemo::new(),
         }
@@ -90,15 +90,16 @@ impl<'t> TcpProber<'t> {
         }
     }
 
-    /// Creates a fault-aware prober: handshakes follow `plan`'s link-cut
-    /// epochs and bursts, and SYNs to a blacked-out endpoint are dropped.
-    /// With an empty plan the prober is bit-identical to
-    /// [`TcpProber::new`].
-    pub fn with_faults(topo: &'t Topology, plan: &'t FaultPlan) -> Self {
+    /// Creates a fault-aware prober over a shared [`FaultRouter`]:
+    /// handshakes follow its plan's link-cut epochs and bursts, and SYNs
+    /// to a blacked-out endpoint are dropped. With an empty plan the
+    /// prober is bit-identical to [`TcpProber::with_table`] over the
+    /// router's table.
+    pub fn with_faults(topo: &'t Topology, router: &'t FaultRouter) -> Self {
         Self {
             topo,
-            routes: RouteSource::Faulty(FaultRouter::new(topo, plan)),
-            faults: Some(plan),
+            routes: RouteSource::Faulty(router),
+            faults: Some(router.plan()),
             memo: WaitMemo::new(),
         }
     }
@@ -285,7 +286,7 @@ mod tests {
     #[test]
     fn empty_fault_plan_connect_matches_dynamic() {
         let (t, probe, dc) = net();
-        let plan = crate::fault::FaultPlan::empty("noop");
+        let router = FaultRouter::for_pair(&t, probe, dc, FaultPlan::empty("noop"));
         for seed in [2u64, 13, 77] {
             let run = |prober: &mut TcpProber| {
                 let mut rng = SimRng::new(seed);
@@ -302,7 +303,7 @@ mod tests {
                     .unwrap()
             };
             let dynamic = run(&mut TcpProber::new(&t));
-            let faulty = run(&mut TcpProber::with_faults(&t, &plan));
+            let faulty = run(&mut TcpProber::with_faults(&t, &router));
             assert_eq!(dynamic, faulty, "seed {seed}");
         }
     }
@@ -319,7 +320,8 @@ mod tests {
             .map(SimTime::from_hours)
             .find(|&at| plan.node_down(dc, at) && plan.node_down(dc, at + SimTime::from_secs(60)))
             .expect("64 long blackouts must cover some probed instant");
-        let mut prober = TcpProber::with_faults(&t, &plan);
+        let faulty = FaultRouter::for_pair(&t, probe, dc, plan);
+        let mut prober = TcpProber::with_faults(&t, &faulty);
         let mut rng = SimRng::new(9);
         let out = prober
             .connect(

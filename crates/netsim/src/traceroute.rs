@@ -100,7 +100,7 @@ impl<'t> TracerouteProber<'t> {
     pub fn new(topo: &'t Topology) -> Self {
         Self {
             topo,
-            routes: RouteSource::Dynamic(Router::new(topo)),
+            routes: RouteSource::Dynamic(Box::new(Router::new(topo))),
             memo: WaitMemo::new(),
         }
     }

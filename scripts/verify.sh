@@ -8,9 +8,14 @@
 #               chaos grid, the passthrough-equivalence pin, the
 #               whole-store grids (ping/TCP × churn × 1/2/8 threads and
 #               1/2/5/8 threads) that hold every entry point to run()'s
-#               store row for row, and the campaign unit tests (credit
-#               settlement, durable runs, shard merges) — fast enough to
-#               run on every fault-model or round-loop change
+#               store row for row, the campaign unit tests (credit
+#               settlement, durable runs, shard merges), the fault-plan
+#               unit tests (epochs, reroutes inside a cut window, cuts
+#               that disconnect), the fault router against one
+#               Router::with_disabled per epoch on random fleets under
+#               chaos and 24-cut plans, and the golden store digest of a
+#               chaos campaign whose cuts reroute sampled pairs — fast
+#               enough to run on every fault-model or round-loop change
 #   crash     — only the durability suite: the kill-at-any-round
 #               recovery sweeps (10 seeds × 3 kill rounds × 3 thread
 #               counts × 2 fault profiles), byte-level damage rejection,
@@ -108,6 +113,9 @@ chaos)
     tests --test determinism campaign_is_bit_identical
     tests --test determinism parallel_execution
     tests -p shears-atlas campaign::tests::
+    tests -p shears-netsim fault::
+    tests --test proptests fault_router_matches_per_epoch_routers_under_generated_plans
+    tests -p shears-atlas campaign::tests::chaos_cut_reroutes_match_their_golden_store_digest
     ;;
 crash)
     echo "==> crash profile: kill-at-any-round durability sweep"

@@ -390,10 +390,9 @@ fn routers_and_tables_agree_when_the_fault_plan_is_empty() {
                 },
                 ..PlatformConfig::default()
             });
-            let plan = FaultPlan::empty("noop");
             let table = p.route_table(1, 1, 2);
             let mut router = Router::new(p.topology());
-            let mut faulty = FaultRouter::new(p.topology(), &plan);
+            let faulty = FaultRouter::new(p.topology(), table.clone(), FaultPlan::empty("noop"));
             let t = SimTime::from_hours(seed % 48);
             for probe in p.probes() {
                 let from = p.probe_node(probe.id);
@@ -408,7 +407,7 @@ fn routers_and_tables_agree_when_the_fault_plan_is_empty() {
                     });
                     let via_fault = faulty
                         .path_at(from, to, t)
-                        .map(|i| (i.links.clone(), i.base_one_way_ms));
+                        .map(|r| (r.links.to_vec(), r.base_one_way_ms));
                     assert_eq!(&want, &via_table, "table diverged {:?}->{:?}", from, to);
                     assert_eq!(
                         &want, &via_fault,
@@ -419,6 +418,73 @@ fn routers_and_tables_agree_when_the_fault_plan_is_empty() {
             }
         },
     );
+}
+
+/// The fault router against one `Router::with_disabled` per epoch: on
+/// random fleets, under a generated `chaos` plan and one with 24 cuts,
+/// every probe→target route of every epoch agrees in links, nodes and
+/// floor bits, and a pair an epoch's cut disconnects is `None` on both
+/// sides.
+#[test]
+fn fault_router_matches_per_epoch_routers_under_generated_plans() {
+    use latency_shears::netsim::fault::FaultRouter;
+    use latency_shears::netsim::{PathInfo, PathRef, Router};
+
+    let many_cuts = FaultConfig {
+        enabled: true,
+        link_cuts: 24,
+        cut_mean_hours: 48.0,
+        ..FaultConfig::none()
+    };
+    let bits = |p: &Option<PathInfo>| p.as_ref().map(|p| p.base_one_way_ms.to_bits());
+    // Routes that differ from the fault-free table, over every case: the
+    // property says little unless some cut crosses a route.
+    let rerouted = std::cell::Cell::new(0usize);
+    for_all(
+        3,
+        15,
+        |rng| {
+            (
+                rng.below(1_000) as u64,
+                15 + rng.below(15),
+                rng.below(1_000) as u64,
+            )
+        },
+        |(seed, probes, plan_seed)| {
+            let p = Platform::build(&PlatformConfig {
+                fleet: FleetConfig {
+                    target_size: probes,
+                    seed,
+                },
+                ..PlatformConfig::default()
+            });
+            let topo = p.topology();
+            let table = p.route_table(1, 1, 1);
+            for cfg in [FaultConfig::chaos(), many_cuts] {
+                let plan = FaultPlan::generate(topo, &cfg, plan_seed, SimTime::from_days(30));
+                let faulty = FaultRouter::new(topo, table.clone(), plan.clone());
+                for epoch in 0..plan.epoch_count() {
+                    let at = plan.epoch_start(epoch);
+                    let mut reference =
+                        Router::with_disabled(topo, plan.epoch_disabled(epoch).clone());
+                    for probe in p.probes() {
+                        let from = p.probe_node(probe.id);
+                        for &target in &p.targets_for(probe, 1, 1) {
+                            let to = p.dc_node(target as usize);
+                            let want = reference.path(from, to).cloned();
+                            let got = faulty.path_at(from, to, at).map(PathRef::to_path_info);
+                            let what = format!("epoch {epoch} {from:?}->{to:?}");
+                            assert_eq!(bits(&got), bits(&want), "floor, {what}");
+                            assert_eq!(got, want, "{what}");
+                            let healthy = table.path(from, to).map(PathRef::to_path_info);
+                            rerouted.set(rerouted.get() + usize::from(got != healthy));
+                        }
+                    }
+                }
+            }
+        },
+    );
+    assert!(rerouted.get() > 0, "no cut crossed a route");
 }
 
 #[test]
