@@ -32,8 +32,8 @@ use shears_netsim::fault::{FaultConfig, FaultPlan, FaultRouter};
 use shears_netsim::ping::{PingConfig, PingProber};
 use shears_netsim::queue::DiurnalLoad;
 use shears_netsim::stochastic::SimRng;
+use shears_netsim::SimTime;
 use shears_netsim::TracerouteProber;
-use shears_netsim::{RouteTable, SimTime};
 
 use crate::dto::{
     CreateMeasurementDto, CreateTracerouteDto, HopDto, MeasurementDto, MeasurementStatsDto,
@@ -383,24 +383,24 @@ impl AtlasService {
             return Response::error(400, &e.to_string());
         }
 
-        // The fault plan is regenerated from the service seed, so equal
-        // requests observe equal fault schedules; its router answers from
-        // a route table over the selected probes. The campaign below
-        // runs without any service lock held: concurrent GETs proceed.
+        // Routes come from a table over the selected probes. The fault
+        // plan is regenerated from the service seed, so equal requests
+        // observe equal fault schedules; its router answers from that
+        // table. The campaign below runs without any service lock held:
+        // concurrent GETs proceed.
         let topo = self.platform.topology();
-        let router = faults.enabled.then(|| {
-            let target = self.platform.dc_node(spec.target_region);
-            let wants: Vec<_> = probes
-                .iter()
-                .map(|p| (self.platform.probe_node(p.id), vec![target]))
-                .collect();
+        let target = self.platform.dc_node(spec.target_region);
+        let table = self
+            .platform
+            .route_table_over(probes.iter().map(|p| (p.id, target)));
+        let router;
+        let mut prober = if faults.enabled {
             let horizon = SimTime::from_hours(u64::from(rounds) + 1);
             let plan = FaultPlan::generate(topo, &faults, self.seed, horizon);
-            FaultRouter::new(topo, RouteTable::build(topo, &wants, 1), plan)
-        });
-        let mut prober = match &router {
-            Some(router) => PingProber::with_faults(topo, router),
-            None => PingProber::new(topo),
+            router = FaultRouter::new(topo, table, plan);
+            PingProber::with_faults(topo, &router)
+        } else {
+            PingProber::with_table(topo, &table)
         };
         let master = SimRng::new(self.seed);
         let cfg = PingConfig {
@@ -422,7 +422,7 @@ impl AtlasService {
                     attempts += 1;
                     let outcome = prober.ping(
                         self.platform.probe_node(probe.id),
-                        self.platform.dc_node(spec.target_region),
+                        target,
                         Some(probe.access),
                         DiurnalLoad::residential(),
                         schedule.attempt_at(),
@@ -709,14 +709,18 @@ impl AtlasService {
         if probes.is_empty() {
             return Response::error(400, "no matching probes");
         }
-        let mut prober = TracerouteProber::new(self.platform.topology());
+        let target = self.platform.dc_node(spec.target_region);
+        let table = self
+            .platform
+            .route_table_over(probes.iter().map(|p| (p.id, target)));
+        let mut prober = TracerouteProber::with_table(self.platform.topology(), &table);
         let master = SimRng::new(self.seed ^ 0x7ace);
         let mut out = Vec::with_capacity(probes.len());
         for probe in probes {
             let mut rng = master.fork_keyed(u64::from(probe.id.0), 0);
             let Some(trace) = prober.trace(
                 self.platform.probe_node(probe.id),
-                self.platform.dc_node(spec.target_region),
+                target,
                 Some(probe.access),
                 DiurnalLoad::residential(),
                 SimTime::from_hours(1),
@@ -1877,7 +1881,33 @@ mod tests {
                 "resume",
                 svc.handle(&post("/api/v2/measurements/resume", "")),
             ),
+            // The fault-free create and a traceroute that spans countries.
+            pin(
+                "create fault-free",
+                svc.handle(&post(
+                    "/api/v2/measurements",
+                    r#"{"target_region": 9, "rounds": 3, "probe_limit": 20}"#,
+                )),
+            ),
+            pin(
+                "results fault-free",
+                svc.handle(&get("/api/v2/measurements/2/results", &[])),
+            ),
+            pin(
+                "traceroutes world",
+                svc.handle(&post(
+                    "/api/v2/traceroutes",
+                    r#"{"target_region": 9, "probe_limit": 50}"#,
+                )),
+            ),
         ];
+        let traced_countries: std::collections::HashSet<_> = svc
+            .platform
+            .unprivileged_probes()
+            .take(50)
+            .map(|p| &p.country)
+            .collect();
+        assert!(traced_countries.len() > 1, "{traced_countries:?}");
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
             got,
@@ -1893,6 +1923,9 @@ mod tests {
                 ("traceroutes", 200, 853, 0xa06f297ca39d39c3),
                 ("credits", 200, 18, 0x366712a02a60bf68),
                 ("resume", 200, 62, 0x9e8c17960c7ff483),
+                ("create fault-free", 201, 162, 0x45362f10ef918bdc),
+                ("results fault-free", 200, 6636, 0x66e843a2bed25771),
+                ("traceroutes world", 200, 16623, 0xf05fce9fb8140ac3),
             ]
         );
     }

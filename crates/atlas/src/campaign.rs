@@ -1117,7 +1117,7 @@ mod tests {
     #[test]
     fn passthrough_fault_plan_reproduces_fault_free_samples_exactly() {
         // The tentpole invariant: an enabled-but-empty fault plan routes
-        // through the dynamic fault path yet must not move a single draw.
+        // through the fault router yet must not move a single draw.
         let p = tiny_platform();
         let clean = Campaign::new(&p, tiny_cfg()).run().unwrap();
         let cfg = CampaignConfig {

@@ -230,6 +230,20 @@ impl Platform {
             .collect();
         RouteTable::build(self.topology(), &wants, threads)
     }
+
+    /// The routes of exactly the given (probe, target node) pairs, built
+    /// on one thread: what a study or an API request reads instead of
+    /// searching pair by pair.
+    pub fn route_table_over(
+        &self,
+        pairs: impl IntoIterator<Item = (ProbeId, NodeId)>,
+    ) -> RouteTable {
+        let wants: Vec<(NodeId, Vec<NodeId>)> = pairs
+            .into_iter()
+            .map(|(probe, to)| (self.probe_node(probe), vec![to]))
+            .collect();
+        RouteTable::build(self.topology(), &wants, 1)
+    }
 }
 
 #[cfg(test)]
@@ -316,6 +330,29 @@ mod tests {
         let p = Platform::build(&cfg);
         assert!(p.catalog().regions().len() < 20, "2010 cloud was tiny");
         assert!(!p.catalog().regions().is_empty());
+    }
+
+    #[test]
+    fn pair_tables_hold_the_fleet_table_routes() {
+        let p = quick_platform();
+        let fleet = p.route_table(2, 1, 2);
+        let pairs: Vec<(ProbeId, NodeId)> = p
+            .probes()
+            .iter()
+            .rev()
+            .step_by(7)
+            .flat_map(|probe| {
+                p.targets_for(probe, 2, 1)
+                    .into_iter()
+                    .map(|t| (probe.id, p.dc_node(t as usize)))
+            })
+            .collect();
+        let table = p.route_table_over(pairs.iter().copied());
+        assert_eq!(table.route_count(), pairs.len());
+        for (probe, to) in pairs {
+            let from = p.probe_node(probe);
+            assert_eq!(table.path(from, to), fleet.path(from, to));
+        }
     }
 
     #[test]

@@ -123,10 +123,8 @@ pub fn delay_breakdown(
     repetitions: u32,
     seed: u64,
 ) -> BreakdownReport {
-    let mut prober = TracerouteProber::new(platform.topology());
-    let master = SimRng::new(seed);
-    let mut acc: HashMap<Continent, (Vec<f64>, [Vec<f64>; 5])> = HashMap::new();
     let mut counted: HashMap<Continent, usize> = HashMap::new();
+    let mut picks = Vec::new();
     for probe in platform.unprivileged_probes() {
         let slot = counted.entry(probe.continent).or_default();
         if *slot >= max_probes_per_continent {
@@ -136,12 +134,19 @@ pub fn delay_breakdown(
             continue;
         };
         *slot += 1;
+        picks.push((probe, platform.dc_node(target as usize)));
+    }
+    let table = platform.route_table_over(picks.iter().map(|&(probe, to)| (probe.id, to)));
+    let mut prober = TracerouteProber::with_table(platform.topology(), &table);
+    let master = SimRng::new(seed);
+    let mut acc: HashMap<Continent, (Vec<f64>, [Vec<f64>; 5])> = HashMap::new();
+    for (probe, to) in picks {
         let mut rng = master.fork_keyed(u64::from(probe.id.0), 0);
         for rep in 0..repetitions {
             let at = SimTime::from_hours(u64::from(rep) * 5);
             let Some(out) = prober.trace(
                 platform.probe_node(probe.id),
-                platform.dc_node(target as usize),
+                to,
                 Some(probe.access),
                 DiurnalLoad::residential(),
                 at,

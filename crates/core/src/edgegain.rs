@@ -14,15 +14,12 @@
 use std::collections::HashMap;
 
 use shears_geo::Continent;
-use shears_netsim::ping::PathSampler;
-use shears_netsim::queue::DiurnalLoad;
-use shears_netsim::routing::Router;
 use shears_netsim::NodeId;
 
 use shears_atlas::Platform;
 
-use crate::kernels;
 use crate::stats::Summary;
+use crate::{floor_rtt_ms, kernels};
 
 /// Per-continent edge-gain numbers.
 #[derive(Debug, Clone)]
@@ -69,64 +66,63 @@ pub fn edge_gain_study(platform: &mut Platform, max_probes_per_continent: usize)
         .iter()
         .map(|c| c.code.to_string())
         .collect();
-    let mut edge_sites: Vec<NodeId> = Vec::new();
+    let mut edge_site_of: HashMap<NodeId, NodeId> = HashMap::new();
     for code in &metro_codes {
         let metros: Vec<NodeId> = platform.world().metros(code).to_vec();
         for m in metros {
-            edge_sites.push(platform.world_mut().attach_edge_site(m));
+            edge_site_of.insert(m, platform.world_mut().attach_edge_site(m));
         }
     }
 
-    // 2. Per-probe floors.
-    let topo = platform.topology();
-    let mut router = Router::new(topo);
-    // Per continent: (cloud floors, edge floors, per-probe gains).
-    type FloorTriple = (Vec<f64>, Vec<f64>, Vec<f64>);
-    let mut per_continent: HashMap<Continent, FloorTriple> = HashMap::new();
+    // 2. Each probe's candidate targets. Nearest edge: the sites of its
+    // own country's metros (geographic pruning would be overkill — its
+    // country's metros always dominate). Nearest cloud DC: evaluating
+    // all 101 would be exact but slow; the nearest 8 by geography always
+    // contain the latency-nearest DC in practice.
     let mut counted: HashMap<Continent, usize> = HashMap::new();
     let dc_count = platform.catalog().regions().len();
+    let mut picks = Vec::new();
     for probe in platform.unprivileged_probes() {
         let slot = counted.entry(probe.continent).or_default();
         if *slot >= max_probes_per_continent {
             continue;
         }
         *slot += 1;
-        let probe_node = platform.probe_node(probe.id);
-        let floor_to = |router: &mut Router, to: NodeId| -> Option<f64> {
-            let path = router.path(probe_node, to)?;
-            Some(
-                PathSampler::new(path, topo, Some(probe.access), DiurnalLoad::residential())
-                    .floor_rtt_ms(),
-            )
-        };
-        // Nearest edge: all sites in the probe's own country (metros),
-        // plus geographic pruning would be overkill — its country's
-        // metros always dominate.
-        let edge_floor = platform
+        let edges: Vec<NodeId> = platform
             .world()
             .metros(&probe.country)
             .iter()
-            .filter_map(|&m| {
-                // The edge site attached to metro m is the node created
-                // right after it; recover it by nearest-site scan.
-                edge_sites
-                    .iter()
-                    .find(|&&e| topo.node(e).location == topo.node(m).location)
-                    .copied()
-            })
-            .filter_map(|e| floor_to(&mut router, e))
-            .fold(f64::INFINITY, f64::min);
-        // Nearest cloud DC: floor over the probe's plausible targets —
-        // evaluating all 101 would be exact but slow; the nearest 8 by
-        // geography always contain the latency-nearest DC in practice.
+            .filter_map(|m| edge_site_of.get(m).copied())
+            .collect();
         let mut candidates: Vec<(f64, usize)> = (0..dc_count)
             .map(|i| (probe.location.distance_km(platform.region(i).location), i))
             .collect();
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let cloud_floor = candidates
+        let clouds: Vec<NodeId> = candidates
             .iter()
             .take(8)
-            .filter_map(|&(_, i)| floor_to(&mut router, platform.dc_node(i)))
+            .map(|&(_, i)| platform.dc_node(i))
+            .collect();
+        picks.push((probe, edges, clouds));
+    }
+    let table =
+        platform.route_table_over(picks.iter().flat_map(|(probe, edges, clouds)| {
+            edges.iter().chain(clouds).map(|&to| (probe.id, to))
+        }));
+
+    // 3. Per-probe floors.
+    // Per continent: (cloud floors, edge floors, per-probe gains).
+    type FloorTriple = (Vec<f64>, Vec<f64>, Vec<f64>);
+    let mut per_continent: HashMap<Continent, FloorTriple> = HashMap::new();
+    for (probe, edges, clouds) in &picks {
+        let floor_to = |&to: &NodeId| floor_rtt_ms(platform, &table, probe, to);
+        let edge_floor = edges
+            .iter()
+            .filter_map(floor_to)
+            .fold(f64::INFINITY, f64::min);
+        let cloud_floor = clouds
+            .iter()
+            .filter_map(floor_to)
             .fold(f64::INFINITY, f64::min);
         if edge_floor.is_finite() && cloud_floor.is_finite() {
             let entry = per_continent.entry(probe.continent).or_default();

@@ -59,3 +59,22 @@ pub mod whatif;
 pub use data::CampaignData;
 pub use frame::CampaignFrame;
 pub use stats::{Ecdf, Summary};
+
+use shears_atlas::{Platform, Probe};
+use shears_netsim::ping::PathSampler;
+use shears_netsim::queue::DiurnalLoad;
+use shears_netsim::{NodeId, RouteTable};
+
+/// The RTT floor from `probe` to node `to` along `table`'s route, with
+/// the probe's last mile at its median (no congestion, no bufferbloat);
+/// `None` when the table holds no route for the pair.
+pub(crate) fn floor_rtt_ms(
+    platform: &Platform,
+    table: &RouteTable,
+    probe: &Probe,
+    to: NodeId,
+) -> Option<f64> {
+    let path = table.path(platform.probe_node(probe.id), to)?;
+    let load = DiurnalLoad::residential();
+    Some(PathSampler::from_ref(path, platform.topology(), Some(probe.access), load).floor_rtt_ms())
+}

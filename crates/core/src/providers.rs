@@ -13,13 +13,10 @@ use std::collections::HashMap;
 use shears_atlas::Platform;
 use shears_cloud::Provider;
 use shears_geo::Continent;
-use shears_netsim::ping::PathSampler;
-use shears_netsim::queue::DiurnalLoad;
-use shears_netsim::routing::Router;
 
-use crate::kernels;
 #[cfg(test)]
 use crate::stats::Ecdf;
+use crate::{floor_rtt_ms, kernels};
 
 /// Per-provider, per-continent medians.
 #[derive(Debug, Clone)]
@@ -73,35 +70,35 @@ pub fn controlled_city_comparison(
     min_distance_km: f64,
     max_probes: usize,
 ) -> Vec<(Provider, f64)> {
-    let mut router = Router::new(platform.topology());
     let regions = platform.catalog().regions();
-    let mut out = Vec::new();
-    for provider in Provider::ALL {
-        let Some((idx, region)) = regions
+    // Each provider with a region in `city`, and the probes far enough
+    // from it.
+    let picks: Vec<_> = Provider::ALL
+        .iter()
+        .filter_map(|&provider| {
+            let (idx, region) = regions
+                .iter()
+                .enumerate()
+                .find(|(_, r)| r.provider == provider && r.city == city)?;
+            let probes: Vec<_> = platform
+                .unprivileged_probes()
+                .filter(|p| p.location.distance_km(region.location) >= min_distance_km)
+                .take(max_probes)
+                .collect();
+            Some((provider, platform.dc_node(idx), probes))
+        })
+        .collect();
+    let table = platform.route_table_over(
+        picks
             .iter()
-            .enumerate()
-            .find(|(_, r)| r.provider == provider && r.city == city)
-        else {
-            continue;
-        };
-        let mut floors = Vec::new();
-        for probe in platform
-            .unprivileged_probes()
-            .filter(|p| p.location.distance_km(region.location) >= min_distance_km)
-            .take(max_probes)
-        {
-            if let Some(path) = router.path(platform.probe_node(probe.id), platform.dc_node(idx)) {
-                floors.push(
-                    PathSampler::new(
-                        path,
-                        platform.topology(),
-                        Some(probe.access),
-                        DiurnalLoad::residential(),
-                    )
-                    .floor_rtt_ms(),
-                );
-            }
-        }
+            .flat_map(|(_, to, probes)| probes.iter().map(move |p| (p.id, *to))),
+    );
+    let mut out = Vec::new();
+    for (provider, to, probes) in picks {
+        let floors: Vec<f64> = probes
+            .iter()
+            .filter_map(|probe| floor_rtt_ms(platform, &table, probe, to))
+            .collect();
         if let Some(median) = kernels::median(&floors) {
             out.push((provider, median));
         }
@@ -112,43 +109,39 @@ pub fn controlled_city_comparison(
 
 /// Computes the comparison over up to `max_probes` unprivileged probes.
 pub fn provider_comparison(platform: &Platform, max_probes: usize) -> ProviderReport {
-    let mut router = Router::new(platform.topology());
-    let mut per_provider: HashMap<Provider, HashMap<Continent, Vec<f64>>> = HashMap::new();
     let regions = platform.catalog().regions();
-    for probe in platform.unprivileged_probes().take(max_probes) {
-        for provider in Provider::ALL {
-            // Nearest region of this provider by geography.
-            let Some((idx, _)) = regions
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.provider == provider)
-                .min_by(|a, b| {
-                    probe
-                        .location
-                        .distance_km(a.1.location)
-                        .total_cmp(&probe.location.distance_km(b.1.location))
-                })
-            else {
-                continue;
-            };
-            let Some(path) = router.path(platform.probe_node(probe.id), platform.dc_node(idx))
-            else {
-                continue;
-            };
-            let floor = PathSampler::new(
-                path,
-                platform.topology(),
-                Some(probe.access),
-                DiurnalLoad::residential(),
-            )
-            .floor_rtt_ms();
-            per_provider
-                .entry(provider)
-                .or_default()
-                .entry(probe.continent)
-                .or_default()
-                .push(floor);
-        }
+    // Each probe's nearest region of every provider, by geography.
+    let picks: Vec<_> = platform
+        .unprivileged_probes()
+        .take(max_probes)
+        .flat_map(|probe| {
+            Provider::ALL.iter().filter_map(move |&provider| {
+                let (idx, _) = regions
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.provider == provider)
+                    .min_by(|a, b| {
+                        probe
+                            .location
+                            .distance_km(a.1.location)
+                            .total_cmp(&probe.location.distance_km(b.1.location))
+                    })?;
+                Some((probe, provider, platform.dc_node(idx)))
+            })
+        })
+        .collect();
+    let table = platform.route_table_over(picks.iter().map(|&(probe, _, to)| (probe.id, to)));
+    let mut per_provider: HashMap<Provider, HashMap<Continent, Vec<f64>>> = HashMap::new();
+    for (probe, provider, to) in picks {
+        let Some(floor) = floor_rtt_ms(platform, &table, probe, to) else {
+            continue;
+        };
+        per_provider
+            .entry(provider)
+            .or_default()
+            .entry(probe.continent)
+            .or_default()
+            .push(floor);
     }
     let rows = Provider::ALL
         .iter()

@@ -16,10 +16,9 @@
 //! closes the loop: given a campaign that ran under a plan, it attributes
 //! response-rate loss, retry spend and RTT inflation to each fault class.
 
-use shears_atlas::Platform;
+use shears_atlas::{Platform, Probe};
 use shears_geo::Continent;
-use shears_netsim::fault::{FaultClass, FaultPlan};
-use shears_netsim::routing::Router;
+use shears_netsim::fault::{FaultClass, FaultPlan, FaultRouter};
 use shears_netsim::topology::LinkClass;
 use shears_netsim::SimTime;
 
@@ -105,49 +104,58 @@ pub fn failure_study(
     max_probes_per_continent: usize,
     target_continent: Option<Continent>,
 ) -> ResilienceReport {
-    let mut healthy = Router::new(platform.topology());
-    let disabled = plan.disabled_at(SimTime::ZERO).clone();
-    let mut failed = Router::with_disabled(platform.topology(), disabled);
+    let regions = platform.catalog().regions();
+    let target_of = |probe: &Probe| match target_continent {
+        None => platform.targets_for(probe, 1, 1).first().copied(),
+        Some(c) => regions
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| platform.region_continent(*i) == c)
+            .min_by(|a, b| {
+                probe
+                    .location
+                    .distance_km(a.1.location)
+                    .total_cmp(&probe.location.distance_km(b.1.location))
+            })
+            .map(|(i, _)| i as u16),
+    };
+    // Per continent, each probe and its target node.
+    let picks: Vec<(Continent, Vec<_>)> = Continent::ALL
+        .iter()
+        .map(|&continent| {
+            let targets = platform
+                .unprivileged_probes()
+                .filter(|p| p.continent == continent)
+                .take(max_probes_per_continent)
+                .filter_map(|probe| Some((probe.id, platform.dc_node(target_of(probe)? as usize))))
+                .collect();
+            (continent, targets)
+        })
+        .collect();
+    let healthy = platform.route_table_over(
+        picks
+            .iter()
+            .flat_map(|(_, targets)| targets.iter().copied()),
+    );
+    let failed = FaultRouter::new(platform.topology(), healthy.clone(), plan.clone());
     let mut rows = Vec::new();
-    for continent in Continent::ALL {
+    for (continent, targets) in picks {
         let mut healthy_ms = Vec::new();
         let mut failed_ms = Vec::new();
         let mut degraded = 0usize;
         let mut disconnected = 0usize;
         let mut probes = 0usize;
-        for probe in platform
-            .unprivileged_probes()
-            .filter(|p| p.continent == continent)
-            .take(max_probes_per_continent)
-        {
-            let target = match target_continent {
-                None => platform.targets_for(probe, 1, 1).first().copied(),
-                Some(c) => {
-                    let regions = platform.catalog().regions();
-                    regions
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| platform.region_continent(*i) == c)
-                        .min_by(|a, b| {
-                            probe
-                                .location
-                                .distance_km(a.1.location)
-                                .total_cmp(&probe.location.distance_km(b.1.location))
-                        })
-                        .map(|(i, _)| i as u16)
-                }
-            };
-            let Some(target) = target else {
-                continue;
-            };
-            let from = platform.probe_node(probe.id);
-            let to = platform.dc_node(target as usize);
+        for (probe, to) in targets {
+            let from = platform.probe_node(probe);
             let Some(h) = healthy.path(from, to).map(|p| p.base_one_way_ms * 2.0) else {
                 continue;
             };
             probes += 1;
             healthy_ms.push(h);
-            match failed.path(from, to).map(|p| p.base_one_way_ms * 2.0) {
+            match failed
+                .path_at(from, to, SimTime::ZERO)
+                .map(|p| p.base_one_way_ms * 2.0)
+            {
                 Some(f) => {
                     failed_ms.push(f);
                     if f > h * 1.25 {

@@ -16,9 +16,8 @@
 
 use shears_apps::thresholds::{MTP_COMPUTE_BUDGET_MS, MTP_MS};
 use shears_atlas::Platform;
-use shears_netsim::ping::PathSampler;
-use shears_netsim::queue::DiurnalLoad;
-use shears_netsim::routing::Router;
+
+use crate::floor_rtt_ms;
 
 /// A last-mile assumption: label + one-way access delay in ms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,31 +71,24 @@ pub struct WhatIfReport {
 /// Runs the study over the platform's wireless probes (capped at
 /// `max_probes` for tractability).
 pub fn fiveg_whatif(platform: &Platform, max_probes: usize) -> WhatIfReport {
-    let mut router = Router::new(platform.topology());
-    // Per-probe: (cloud floor minus its access contribution, i.e. the
-    // pure network part) for the nearest DC.
-    let mut network_parts: Vec<f64> = Vec::new();
-    for probe in platform
+    // Each wireless probe's nearest DC.
+    let picks: Vec<_> = platform
         .unprivileged_probes()
         .filter(|p| p.access.tech.is_wireless())
         .take(max_probes)
-    {
-        let Some(&target) = platform.targets_for(probe, 1, 1).first() else {
+        .filter_map(|probe| {
+            let &target = platform.targets_for(probe, 1, 1).first()?;
+            Some((probe, platform.dc_node(target as usize)))
+        })
+        .collect();
+    let table = platform.route_table_over(picks.iter().map(|&(probe, to)| (probe.id, to)));
+    // Per-probe: (cloud floor minus its access contribution, i.e. the
+    // pure network part) for the nearest DC.
+    let mut network_parts: Vec<f64> = Vec::new();
+    for (probe, to) in picks {
+        let Some(floor) = floor_rtt_ms(platform, &table, probe, to) else {
             continue;
         };
-        let Some(path) = router.path(
-            platform.probe_node(probe.id),
-            platform.dc_node(target as usize),
-        ) else {
-            continue;
-        };
-        let floor = PathSampler::new(
-            path,
-            platform.topology(),
-            Some(probe.access),
-            DiurnalLoad::residential(),
-        )
-        .floor_rtt_ms();
         // Strip this probe's current access RTT to isolate the network.
         let network = floor - 2.0 * probe.access.floor_one_way_ms();
         network_parts.push(network.max(0.0));

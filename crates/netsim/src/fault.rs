@@ -732,11 +732,19 @@ impl FaultRouter {
 }
 
 #[cfg(test)]
+impl RouteTable {
+    /// A table holding only the `from`→`to` route.
+    pub(crate) fn for_pair(topo: &Topology, from: NodeId, to: NodeId) -> Self {
+        RouteTable::build(topo, &[(from, vec![to])], 1)
+    }
+}
+
+#[cfg(test)]
 impl FaultRouter {
     /// The router of `plan` over a table holding only the `from`→`to`
     /// route.
     pub(crate) fn for_pair(topo: &Topology, from: NodeId, to: NodeId, plan: FaultPlan) -> Self {
-        FaultRouter::new(topo, RouteTable::build(topo, &[(from, vec![to])], 1), plan)
+        FaultRouter::new(topo, RouteTable::for_pair(topo, from, to), plan)
     }
 }
 

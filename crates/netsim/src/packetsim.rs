@@ -133,7 +133,7 @@ mod tests {
     use super::*;
     use crate::access::AccessTechnology;
     use crate::ping::PingProber;
-    use crate::routing::Router;
+    use crate::routing::RouteTable;
     use crate::topology::{LinkClass, NodeKind};
     use shears_geo::GeoPoint;
 
@@ -166,8 +166,10 @@ mod tests {
         // arrival instant, which within one RTT moves utilisation by a
         // hair).
         let (t, probe, dc) = net();
-        let mut router = Router::new(&t);
-        let path = router.path(probe, dc).unwrap().clone();
+        let path = RouteTable::for_pair(&t, probe, dc)
+            .path(probe, dc)
+            .unwrap()
+            .to_path_info();
         let walk_analytically = |seed: u64| -> Option<f64> {
             let mut rng = SimRng::new(seed);
             let start = SimTime::from_hours(5);
@@ -234,9 +236,9 @@ mod tests {
     #[test]
     fn multi_packet_round_agrees_statistically_with_prober() {
         let (t, probe, dc) = net();
-        let mut prober = PingProber::new(&t);
-        let mut router = Router::new(&t);
-        let path = router.path(probe, dc).unwrap().clone();
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let mut prober = PingProber::with_table(&t, &table);
+        let path = table.path(probe, dc).unwrap().to_path_info();
         let mut analytic = Vec::new();
         let mut eventful = Vec::new();
         let mut rng_a = SimRng::new(5);
@@ -288,8 +290,10 @@ mod tests {
     #[test]
     fn timeout_drops_slow_replies() {
         let (t, probe, dc) = net();
-        let mut router = Router::new(&t);
-        let path = router.path(probe, dc).unwrap().clone();
+        let path = RouteTable::for_pair(&t, probe, dc)
+            .path(probe, dc)
+            .unwrap()
+            .to_path_info();
         let mut rng = SimRng::new(9);
         let out = ping_event_driven(
             &t,
@@ -308,8 +312,10 @@ mod tests {
     #[test]
     fn packets_complete_in_send_order_in_the_outcome() {
         let (t, probe, dc) = net();
-        let mut router = Router::new(&t);
-        let path = router.path(probe, dc).unwrap().clone();
+        let path = RouteTable::for_pair(&t, probe, dc)
+            .path(probe, dc)
+            .unwrap()
+            .to_path_info();
         let mut rng = SimRng::new(21);
         let out = ping_event_driven(
             &t,

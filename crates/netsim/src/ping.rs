@@ -11,9 +11,9 @@
 //! TCP prober ([`crate::tcp`]) reuses it, so ICMP and TCP probing are
 //! guaranteed to see the same underlying network.
 //!
-//! The per-measurement hot path is allocation-free when the prober is
-//! backed by a shared [`RouteTable`]: the route arrives as a borrowed
-//! [`PathRef`] slice (no `PathInfo` clone), the round's RTTs land in
+//! The per-measurement hot path is allocation-free: the route arrives as
+//! a [`PathRef`] slice borrowed from a shared [`RouteTable`] or
+//! [`FaultRouter`] (no `PathInfo` clone), the round's RTTs land in
 //! [`RttBuf`]'s inline storage (no heap `Vec` for the ≤8-packet rounds
 //! campaigns actually run), and the hop waits go to a memo the prober
 //! keeps across calls.
@@ -41,7 +41,7 @@
 use crate::access::AccessLink;
 use crate::fault::{FaultPlan, FaultRouter};
 use crate::queue::DiurnalLoad;
-use crate::routing::{PathInfo, PathRef, RouteSource, RouteTable, Router};
+use crate::routing::{PathRef, RouteSource, RouteTable};
 use crate::stochastic::SimRng;
 use crate::time::SimTime;
 use crate::topology::{LinkClass, LinkId, LinkModel, Topology};
@@ -390,20 +390,10 @@ pub struct PathSampler<'p, 't> {
 }
 
 impl<'p, 't> PathSampler<'p, 't> {
-    /// Creates a sampler over an owned path; pass `access` when the
-    /// path's first hop is the probe's last-mile segment (its stochastic
-    /// model then replaces the topology link's flat delay for that hop).
-    pub fn new(
-        path: &'p PathInfo,
-        topo: &'t Topology,
-        access: Option<AccessLink>,
-        load: DiurnalLoad,
-    ) -> Self {
-        Self::from_ref(path.as_path_ref(), topo, access, load)
-    }
-
     /// Creates a sampler over a borrowed path view (e.g. a
-    /// [`RouteTable`] arena slice) — the allocation-free entry point.
+    /// [`RouteTable`] arena slice); pass `access` when the path's first
+    /// hop is the probe's last-mile segment (its stochastic model then
+    /// replaces the topology link's flat delay for that hop).
     pub fn from_ref(
         path: PathRef<'p>,
         topo: &'t Topology,
@@ -503,10 +493,10 @@ impl<'p, 't> PathSampler<'p, 't> {
 
 /// Ping driver: resolves routes and produces [`PingOutcome`]s.
 ///
-/// Routes come from either a private cached [`Router`]
-/// ([`PingProber::new`]) or a shared precomputed [`RouteTable`]
-/// ([`PingProber::with_table`]); sampling is bit-identical between the
-/// two, and the table-backed path performs zero per-call allocations.
+/// Routes come from a shared precomputed [`RouteTable`]
+/// ([`PingProber::with_table`]) or a shared [`FaultRouter`] over one
+/// ([`PingProber::with_faults`]), built over the pairs the caller probes;
+/// a measurement performs zero per-call allocations.
 pub struct PingProber<'t> {
     topo: &'t Topology,
     routes: RouteSource<'t>,
@@ -516,20 +506,9 @@ pub struct PingProber<'t> {
 }
 
 impl<'t> PingProber<'t> {
-    /// Creates a prober over a frozen topology with its own incremental
-    /// route cache.
-    pub fn new(topo: &'t Topology) -> Self {
-        Self {
-            topo,
-            routes: RouteSource::Dynamic(Box::new(Router::new(topo))),
-            faults: None,
-            memo: WaitMemo::new(),
-        }
-    }
-
     /// Creates a prober that reads routes from a shared precomputed
-    /// table (the campaign fast path; the table may be shared read-only
-    /// across any number of probers and threads).
+    /// table (the table may be shared read-only across any number of
+    /// probers and threads).
     pub fn with_table(topo: &'t Topology, table: &'t RouteTable) -> Self {
         Self {
             topo,
@@ -555,8 +534,8 @@ impl<'t> PingProber<'t> {
     }
 
     /// Runs one ping measurement from `from` to `to` at instant `t`.
-    /// Returns `None` if the nodes are not connected (or, for a
-    /// table-backed prober, the pair was not resolved at build time).
+    /// Returns `None` if the nodes are not connected or the pair was not
+    /// resolved at build time.
     #[allow(clippy::too_many_arguments)]
     pub fn ping(
         &mut self,
@@ -592,7 +571,7 @@ impl<'t> PingProber<'t> {
 
     /// The route the prober would use (exposed for path introspection in
     /// reports and tests).
-    pub fn route(&mut self, from: NodeId, to: NodeId) -> Option<PathRef<'_>> {
+    pub fn route(&self, from: NodeId, to: NodeId) -> Option<PathRef<'t>> {
         self.routes.path(from, to)
     }
 }
@@ -605,6 +584,7 @@ pub(crate) mod oracle {
     use super::*;
     use crate::event::EventQueue;
     use crate::queue::Mm1Queue;
+    use crate::routing::PathInfo;
     use crate::tcp::{TcpConfig, TcpOutcome};
 
     #[allow(clippy::too_many_arguments)]
@@ -690,7 +670,7 @@ pub(crate) mod oracle {
     #[allow(clippy::too_many_arguments)]
     pub fn ping(
         topo: &Topology,
-        routes: &mut RouteSource<'_>,
+        routes: &RouteSource<'_>,
         faults: Option<&FaultPlan>,
         from: NodeId,
         to: NodeId,
@@ -726,7 +706,7 @@ pub(crate) mod oracle {
     #[allow(clippy::too_many_arguments)]
     pub fn connect(
         topo: &Topology,
-        routes: &mut RouteSource<'_>,
+        routes: &RouteSource<'_>,
         faults: Option<&FaultPlan>,
         from: NodeId,
         to: NodeId,
@@ -942,6 +922,14 @@ mod tests {
         let wants: Vec<(NodeId, Vec<NodeId>)> =
             probes.iter().map(|&(p, _)| (p, dcs.clone())).collect();
         let table = RouteTable::build(topo, &wants, 2);
+        // The same routes laid out another way: one request per pair, in
+        // reverse, on one build thread.
+        let per_pair: Vec<(NodeId, Vec<NodeId>)> = wants
+            .iter()
+            .rev()
+            .flat_map(|(p, dcs)| dcs.iter().rev().map(|&dc| (*p, vec![dc])))
+            .collect();
+        let per_pair = RouteTable::build(topo, &per_pair, 1);
         let load = DiurnalLoad::residential();
         let horizon = SimTime::from_days(7);
         // Five packets and a tight timeout exercise losses and timeouts
@@ -978,9 +966,9 @@ mod tests {
                     None,
                 ),
                 (
-                    PingProber::new(topo),
-                    TcpProber::new(topo),
-                    RouteSource::Dynamic(Box::new(crate::Router::new(topo))),
+                    PingProber::with_table(topo, &per_pair),
+                    TcpProber::with_table(topo, &per_pair),
+                    RouteSource::Shared(&per_pair),
                     None,
                 ),
             ];
@@ -1193,7 +1181,8 @@ mod tests {
     #[test]
     fn ping_produces_rtts_above_floor() {
         let (t, probe, dc) = simple_net();
-        let mut prober = PingProber::new(&t);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let mut prober = PingProber::with_table(&t, &table);
         let mut rng = SimRng::new(1);
         let out = prober
             .ping(
@@ -1224,7 +1213,8 @@ mod tests {
     #[test]
     fn floor_includes_access_substitution() {
         let (t, probe, dc) = simple_net();
-        let mut prober = PingProber::new(&t);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let prober = PingProber::with_table(&t, &table);
         let path = prober.route(probe, dc).unwrap();
         let with_eth = PathSampler::from_ref(
             path,
@@ -1248,8 +1238,9 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (t, probe, dc) = simple_net();
+        let table = RouteTable::for_pair(&t, probe, dc);
         let run = || {
-            let mut prober = PingProber::new(&t);
+            let mut prober = PingProber::with_table(&t, &table);
             let mut rng = SimRng::new(77);
             prober
                 .ping(
@@ -1267,39 +1258,12 @@ mod tests {
     }
 
     #[test]
-    fn table_backed_prober_matches_dynamic_prober() {
-        // The campaign's bit-identity rests on this: same seed, same
-        // pair, same instants — the shared-table prober must reproduce
-        // the router-backed prober's outcome exactly.
-        let (t, probe, dc) = simple_net();
-        let table = RouteTable::build(&t, &[(probe, vec![dc])], 2);
-        for seed in [1u64, 7, 42, 99] {
-            let run = |prober: &mut PingProber| {
-                let mut rng = SimRng::new(seed);
-                prober
-                    .ping(
-                        probe,
-                        dc,
-                        Some(dsl()),
-                        DiurnalLoad::residential(),
-                        SimTime::from_hours(5),
-                        &PingConfig::default(),
-                        &mut rng,
-                    )
-                    .unwrap()
-            };
-            let dynamic = run(&mut PingProber::new(&t));
-            let shared = run(&mut PingProber::with_table(&t, &table));
-            assert_eq!(dynamic, shared, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn empty_fault_plan_prober_matches_dynamic_prober() {
+    fn empty_fault_plan_prober_matches_table_prober() {
         // The chaos machinery's bit-identity pin: attaching an empty
         // fault plan must not move a single RNG draw or delay.
         let (t, probe, dc) = simple_net();
-        let router = FaultRouter::for_pair(&t, probe, dc, FaultPlan::empty("noop"));
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let router = FaultRouter::new(&t, table.clone(), FaultPlan::empty("noop"));
         for seed in [1u64, 7, 42, 99] {
             let run = |prober: &mut PingProber| {
                 let mut rng = SimRng::new(seed);
@@ -1315,9 +1279,9 @@ mod tests {
                     )
                     .unwrap()
             };
-            let dynamic = run(&mut PingProber::new(&t));
+            let shared = run(&mut PingProber::with_table(&t, &table));
             let faulty = run(&mut PingProber::with_faults(&t, &router));
-            assert_eq!(dynamic, faulty, "seed {seed}");
+            assert_eq!(shared, faulty, "seed {seed}");
         }
     }
 
@@ -1385,8 +1349,9 @@ mod tests {
             }
             lost
         };
-        let clean = count_losses(&mut PingProber::new(&t));
-        let faulty = FaultRouter::for_pair(&t, probe, dc, plan);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let clean = count_losses(&mut PingProber::with_table(&t, &table));
+        let faulty = FaultRouter::new(&t, table, plan);
         let bursty = count_losses(&mut PingProber::with_faults(&t, &faulty));
         assert!(
             bursty > clean + 50,
@@ -1399,7 +1364,9 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_node(NodeKind::ProbeHost, GeoPoint::new(0.0, 0.0), "XX");
         let b = t.add_node(NodeKind::Datacenter, GeoPoint::new(1.0, 1.0), "XX");
-        let mut prober = PingProber::new(&t);
+        let table = RouteTable::for_pair(&t, a, b);
+        assert!(table.is_empty());
+        let mut prober = PingProber::with_table(&t, &table);
         let mut rng = SimRng::new(1);
         assert!(prober
             .ping(
@@ -1417,7 +1384,8 @@ mod tests {
     #[test]
     fn timeout_counts_as_loss() {
         let (t, probe, dc) = simple_net();
-        let mut prober = PingProber::new(&t);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let mut prober = PingProber::with_table(&t, &table);
         let mut rng = SimRng::new(5);
         let cfg = PingConfig {
             packets: 10,
@@ -1478,8 +1446,8 @@ mod tests {
     #[test]
     fn evening_congestion_raises_mean_rtt() {
         let (t, probe, dc) = simple_net();
-        let mut prober = PingProber::new(&t);
-        let path = prober.route(probe, dc).unwrap();
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let path = table.path(probe, dc).unwrap();
         // Munich is ~11.6°E, so local 21:00 ≈ 20:13 UTC. Compare a quiet
         // local 04:00 against the local evening peak.
         let sampler = PathSampler::from_ref(path, &t, Some(dsl()), DiurnalLoad::residential());

@@ -1,5 +1,5 @@
-//! Shortest-path routing: a dynamic cached [`Router`] and a frozen,
-//! shareable [`RouteTable`].
+//! Shortest-path routing: a frozen, shareable [`RouteTable`] and the
+//! per-pair [`Router`] it is tested against.
 //!
 //! Routes are computed by Dijkstra over the link base delays plus
 //! per-node processing delays — i.e. the *uncongested* floor. Real
@@ -9,20 +9,20 @@
 //! paths over that graph reproduce the inflation the paper observes
 //! without simulating BGP itself.
 //!
-//! Two resolution strategies share one Dijkstra core (same relaxation
-//! order, same `total_cmp`-then-node-id tie-break, therefore bit-equal
-//! paths):
+//! Every prober and analysis resolves its routes one way: a
+//! [`RouteTable`] built over exactly the (source, target) pairs it asks
+//! for, resolved up front with one shortest-path tree per *chain head*
+//! (see [`RouteTable::build`]: the probes behind one metro PoP share a
+//! search), stored in a flat CSR-style arena and shared read-only.
+//! Lookups hand out borrowed [`PathRef`]s, never cloning. The table's
+//! `reroute` step re-resolves the routes a set of cut links crosses,
+//! which is all a link-cut epoch of a fault plan changes (see
+//! [`crate::fault::FaultRouter`]).
 //!
-//! * [`Router`] — incremental, per-pair, with a cache and optional
-//!   disabled links. The dynamic path.
-//! * [`RouteTable`] — all probe→target routes resolved up front, one
-//!   shortest-path tree per *chain head* (see [`RouteTable::build`]: the
-//!   probes behind one metro PoP share a search), stored in a flat
-//!   CSR-style arena and shared read-only across campaign shards. The
-//!   frozen fast path: lookups hand out borrowed [`PathRef`]s, never
-//!   cloning. Its `reroute` step re-resolves the routes a set of cut
-//!   links crosses, which is all a link-cut epoch of a fault plan
-//!   changes (see [`crate::fault::FaultRouter`]).
+//! [`Router`] runs the same Dijkstra core (same relaxation order, same
+//! `total_cmp`-then-node-id tie-break) one pair at a time. It is the
+//! reference oracle the table and the fault router are tested against,
+//! not a production path.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -310,13 +310,19 @@ fn replay_floor_ms(topo: &Topology, nodes: &[NodeId], links: &[LinkId]) -> f64 {
     d
 }
 
-/// Dijkstra router with a per-(source, target) cache.
+/// The reference oracle: a Dijkstra router with a per-(source, target)
+/// cache, optionally with disabled links.
 ///
 /// The first lookup of a pair runs one single-target search from the
 /// source; later lookups of the pair are a hash hit. Nothing is ever
 /// invalidated: the router borrows its topology, so the topology cannot
 /// change while the router lives, and the disabled links are fixed at
 /// construction.
+///
+/// No prober or analysis routes through it; they read a [`RouteTable`]
+/// or a [`crate::fault::FaultRouter`]. It stays public so that the
+/// route-table grid and the fault-router property test can compare
+/// those, route by route, against independent per-pair searches.
 pub struct Router<'t> {
     topo: &'t Topology,
     cache: HashMap<(NodeId, NodeId), Option<PathInfo>>,
@@ -750,35 +756,32 @@ impl Reroutes {
     }
 }
 
-/// Where a prober gets its routes: a private incremental [`Router`]
-/// (dynamic topologies), a shared read-only [`RouteTable`] (frozen
-/// campaign hot path) or a shared [`crate::fault::FaultRouter`] (the
-/// table under a fault plan's link cuts).
+/// Where a prober gets its routes: a shared read-only [`RouteTable`]
+/// or a shared [`crate::fault::FaultRouter`] (the table under a fault
+/// plan's link cuts). Both are built over the pairs the caller probes;
+/// a lookup never searches or allocates.
+#[derive(Debug, Clone, Copy)]
 pub enum RouteSource<'t> {
-    /// Per-prober cached Dijkstra; supports disabled links.
-    Dynamic(Box<Router<'t>>),
-    /// Borrowed precomputed table; zero per-lookup allocation.
+    /// Borrowed precomputed table.
     Shared(&'t RouteTable),
     /// Borrowed time-aware routes: the fault-free table, with the routes
-    /// each link-cut epoch crosses re-resolved up front. Lookups never
-    /// search or allocate.
+    /// each link-cut epoch crosses re-resolved up front.
     Faulty(&'t crate::fault::FaultRouter),
 }
 
-impl RouteSource<'_> {
-    /// Resolves a route, if one exists (and, for the shared table, was
-    /// requested at build time). Fault-aware sources resolve at the start
-    /// of time; use [`RouteSource::path_at`] for scheduled measurements.
-    pub fn path(&mut self, from: NodeId, to: NodeId) -> Option<PathRef<'_>> {
+impl<'t> RouteSource<'t> {
+    /// Resolves a route, if the source holds one for the pair.
+    /// Fault-aware sources resolve at the start of time; use
+    /// [`RouteSource::path_at`] for scheduled measurements.
+    pub fn path(&self, from: NodeId, to: NodeId) -> Option<PathRef<'t>> {
         self.path_at(from, to, SimTime::ZERO)
     }
 
     /// Resolves the route in effect at simulation time `t`. The time only
     /// matters for the `Faulty` source, whose link-cut schedule swaps the
-    /// topology between epochs; `Dynamic` and `Shared` routes are static.
-    pub fn path_at(&mut self, from: NodeId, to: NodeId, t: SimTime) -> Option<PathRef<'_>> {
-        match self {
-            RouteSource::Dynamic(router) => router.path(from, to).map(PathInfo::as_path_ref),
+    /// topology between epochs; `Shared` routes are static.
+    pub fn path_at(&self, from: NodeId, to: NodeId, t: SimTime) -> Option<PathRef<'t>> {
+        match *self {
             RouteSource::Shared(table) => table.path(from, to),
             RouteSource::Faulty(faulty) => faulty.path_at(from, to, t),
         }
@@ -1136,16 +1139,5 @@ mod tests {
         );
         assert_eq!(table.path(p, p).unwrap().hop_count(), 0);
         assert_eq!(table.path(behind_dc, behind_dc).unwrap().hop_count(), 0);
-    }
-
-    #[test]
-    fn route_source_dynamic_and_shared_agree() {
-        let (t, ids) = line();
-        let table = RouteTable::build(&t, &[(ids[0], vec![ids[3]])], 1);
-        let mut dynamic = RouteSource::Dynamic(Box::new(Router::new(&t)));
-        let mut shared = RouteSource::Shared(&table);
-        let a = dynamic.path(ids[0], ids[3]).unwrap().to_path_info();
-        let b = shared.path(ids[0], ids[3]).unwrap().to_path_info();
-        assert_eq!(a, b);
     }
 }

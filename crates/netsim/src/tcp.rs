@@ -12,7 +12,7 @@ use crate::access::AccessLink;
 use crate::fault::{FaultPlan, FaultRouter};
 use crate::ping::{PathSampler, WaitMemo};
 use crate::queue::DiurnalLoad;
-use crate::routing::{RouteSource, RouteTable, Router};
+use crate::routing::{RouteSource, RouteTable};
 use crate::stochastic::SimRng;
 use crate::time::SimTime;
 use crate::topology::Topology;
@@ -55,10 +55,9 @@ impl TcpOutcome {
 
 /// TCP connect-time prober.
 ///
-/// Routes come from either a private cached [`Router`]
-/// ([`TcpProber::new`]) or a shared precomputed [`RouteTable`]
-/// ([`TcpProber::with_table`]); handshake sampling is bit-identical
-/// between the two, and the table-backed path never clones a route.
+/// Routes come from a shared precomputed [`RouteTable`]
+/// ([`TcpProber::with_table`]) or a shared [`FaultRouter`] over one
+/// ([`TcpProber::with_faults`]); a handshake never clones a route.
 pub struct TcpProber<'t> {
     topo: &'t Topology,
     routes: RouteSource<'t>,
@@ -68,19 +67,8 @@ pub struct TcpProber<'t> {
 }
 
 impl<'t> TcpProber<'t> {
-    /// Creates a prober over a frozen topology with its own incremental
-    /// route cache.
-    pub fn new(topo: &'t Topology) -> Self {
-        Self {
-            topo,
-            routes: RouteSource::Dynamic(Box::new(Router::new(topo))),
-            faults: None,
-            memo: WaitMemo::new(),
-        }
-    }
-
     /// Creates a prober that reads routes from a shared precomputed
-    /// table (the campaign fast path).
+    /// table.
     pub fn with_table(topo: &'t Topology, table: &'t RouteTable) -> Self {
         Self {
             topo,
@@ -105,8 +93,8 @@ impl<'t> TcpProber<'t> {
     }
 
     /// Attempts a TCP handshake from `from` to `to` starting at `t`.
-    /// Returns `None` if the nodes are disconnected (or, for a
-    /// table-backed prober, the pair was not resolved at build time).
+    /// Returns `None` if the nodes are disconnected or the pair was not
+    /// resolved at build time.
     #[allow(clippy::too_many_arguments)]
     pub fn connect(
         &mut self,
@@ -185,7 +173,8 @@ mod tests {
     #[test]
     fn connect_usually_takes_one_rtt() {
         let (t, probe, dc) = net();
-        let mut prober = TcpProber::new(&t);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let mut prober = TcpProber::with_table(&t, &table);
         let mut rng = SimRng::new(3);
         let mut one_shot = 0;
         let n = 200;
@@ -217,7 +206,8 @@ mod tests {
         // Force a drop on the first SYN by making loss certain via a
         // lossy satellite access and tiny RTO so a slow sample retries.
         let (t, probe, dc) = net();
-        let mut prober = TcpProber::new(&t);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let mut prober = TcpProber::with_table(&t, &table);
         let mut rng = SimRng::new(11);
         let cfg = TcpConfig {
             initial_rto_ms: 0.001, // everything is slower than this
@@ -243,7 +233,8 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_node(NodeKind::ProbeHost, GeoPoint::new(0.0, 0.0), "XX");
         let b = t.add_node(NodeKind::Datacenter, GeoPoint::new(1.0, 1.0), "XX");
-        let mut prober = TcpProber::new(&t);
+        let table = RouteTable::for_pair(&t, a, b);
+        let mut prober = TcpProber::with_table(&t, &table);
         let mut rng = SimRng::new(1);
         assert!(prober
             .connect(
@@ -259,9 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn table_backed_connect_matches_dynamic() {
+    fn empty_fault_plan_connect_matches_table() {
         let (t, probe, dc) = net();
-        let table = RouteTable::build(&t, &[(probe, vec![dc])], 1);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let router = FaultRouter::new(&t, table.clone(), FaultPlan::empty("noop"));
         for seed in [2u64, 13, 77] {
             let run = |prober: &mut TcpProber| {
                 let mut rng = SimRng::new(seed);
@@ -277,34 +269,9 @@ mod tests {
                     )
                     .unwrap()
             };
-            let dynamic = run(&mut TcpProber::new(&t));
             let shared = run(&mut TcpProber::with_table(&t, &table));
-            assert_eq!(dynamic, shared, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn empty_fault_plan_connect_matches_dynamic() {
-        let (t, probe, dc) = net();
-        let router = FaultRouter::for_pair(&t, probe, dc, FaultPlan::empty("noop"));
-        for seed in [2u64, 13, 77] {
-            let run = |prober: &mut TcpProber| {
-                let mut rng = SimRng::new(seed);
-                prober
-                    .connect(
-                        probe,
-                        dc,
-                        Some(AccessLink::new(AccessTechnology::Dsl, 1.0)),
-                        DiurnalLoad::residential(),
-                        SimTime::from_hours(19),
-                        &TcpConfig::default(),
-                        &mut rng,
-                    )
-                    .unwrap()
-            };
-            let dynamic = run(&mut TcpProber::new(&t));
             let faulty = run(&mut TcpProber::with_faults(&t, &router));
-            assert_eq!(dynamic, faulty, "seed {seed}");
+            assert_eq!(shared, faulty, "seed {seed}");
         }
     }
 
@@ -344,8 +311,9 @@ mod tests {
         // tracking ICMP RTTs; verify medians agree within jitter.
         let (t, probe, dc) = net();
         let access = AccessLink::new(AccessTechnology::Ethernet, 1.0);
-        let mut tcp = TcpProber::new(&t);
-        let mut png = crate::ping::PingProber::new(&t);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let mut tcp = TcpProber::with_table(&t, &table);
+        let mut png = crate::ping::PingProber::with_table(&t, &table);
         let mut rng = SimRng::new(21);
         let mut tcp_times = Vec::new();
         let mut ping_times = Vec::new();

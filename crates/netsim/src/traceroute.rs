@@ -21,7 +21,7 @@
 use crate::access::AccessLink;
 use crate::ping::{PathSampler, WaitMemo};
 use crate::queue::DiurnalLoad;
-use crate::routing::{PathRef, RouteSource, RouteTable, Router};
+use crate::routing::{PathRef, RouteTable};
 use crate::stochastic::SimRng;
 use crate::time::SimTime;
 use crate::topology::{NodeId, NodeKind, Topology};
@@ -89,34 +89,25 @@ fn icmp_silence_probability(kind: NodeKind) -> f64 {
 /// Traceroute driver over the shared [`PathSampler`] delay engine.
 pub struct TracerouteProber<'t> {
     topo: &'t Topology,
-    routes: RouteSource<'t>,
+    routes: &'t RouteTable,
     /// Hop waits of earlier probes, reused across TTLs and calls.
     memo: WaitMemo,
 }
 
 impl<'t> TracerouteProber<'t> {
-    /// Creates a prober over a frozen topology with its own incremental
-    /// route cache.
-    pub fn new(topo: &'t Topology) -> Self {
-        Self {
-            topo,
-            routes: RouteSource::Dynamic(Box::new(Router::new(topo))),
-            memo: WaitMemo::new(),
-        }
-    }
-
     /// Creates a prober that reads routes from a shared precomputed
-    /// table.
+    /// table built over the pairs the caller traces.
     pub fn with_table(topo: &'t Topology, table: &'t RouteTable) -> Self {
         Self {
             topo,
-            routes: RouteSource::Shared(table),
+            routes: table,
             memo: WaitMemo::new(),
         }
     }
 
     /// Runs a traceroute from `from` to `to` at instant `t`. Returns
-    /// `None` if the nodes are disconnected.
+    /// `None` if the nodes are disconnected or the pair was not resolved
+    /// at build time.
     pub fn trace(
         &mut self,
         from: NodeId,
@@ -184,6 +175,7 @@ impl<'t> TracerouteProber<'t> {
 mod tests {
     use super::*;
     use crate::access::AccessTechnology;
+    use crate::routing::Router;
     use crate::topology::LinkClass;
     use shears_geo::GeoPoint;
 
@@ -208,7 +200,8 @@ mod tests {
     #[test]
     fn trace_walks_every_hop_to_destination() {
         let (t, probe, dc) = net();
-        let mut prober = TracerouteProber::new(&t);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let mut prober = TracerouteProber::with_table(&t, &table);
         let mut rng = SimRng::new(3);
         let out = prober
             .trace(
@@ -230,7 +223,8 @@ mod tests {
     #[test]
     fn hop_rtts_grow_roughly_monotonically() {
         let (t, probe, dc) = net();
-        let mut prober = TracerouteProber::new(&t);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let mut prober = TracerouteProber::with_table(&t, &table);
         let mut rng = SimRng::new(5);
         // Median over repetitions to smooth the per-instant artefact.
         let mut medians = vec![Vec::new(); 4];
@@ -265,7 +259,8 @@ mod tests {
     #[test]
     fn segment_deltas_sum_to_destination_rtt() {
         let (t, probe, dc) = net();
-        let mut prober = TracerouteProber::new(&t);
+        let table = RouteTable::for_pair(&t, probe, dc);
+        let mut prober = TracerouteProber::with_table(&t, &table);
         let mut rng = SimRng::new(9);
         let out = prober
             .trace(
@@ -290,7 +285,8 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_node(NodeKind::ProbeHost, GeoPoint::new(0.0, 0.0), "XX");
         let b = t.add_node(NodeKind::Datacenter, GeoPoint::new(1.0, 1.0), "XX");
-        let mut prober = TracerouteProber::new(&t);
+        let table = RouteTable::for_pair(&t, a, b);
+        let mut prober = TracerouteProber::with_table(&t, &table);
         let mut rng = SimRng::new(1);
         assert!(prober
             .trace(a, b, None, DiurnalLoad::backbone(), SimTime::ZERO, &mut rng)
@@ -300,8 +296,9 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let (t, probe, dc) = net();
+        let table = RouteTable::for_pair(&t, probe, dc);
         let run = |seed| {
-            let mut prober = TracerouteProber::new(&t);
+            let mut prober = TracerouteProber::with_table(&t, &table);
             let mut rng = SimRng::new(seed);
             prober
                 .trace(
@@ -315,30 +312,6 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(run(42), run(42));
-    }
-
-    #[test]
-    fn table_backed_trace_matches_dynamic() {
-        let (t, probe, dc) = net();
-        let table = RouteTable::build(&t, &[(probe, vec![dc])], 1);
-        for seed in [4u64, 19, 61] {
-            let run = |prober: &mut TracerouteProber| {
-                let mut rng = SimRng::new(seed);
-                prober
-                    .trace(
-                        probe,
-                        dc,
-                        Some(access()),
-                        DiurnalLoad::residential(),
-                        SimTime::from_hours(7),
-                        &mut rng,
-                    )
-                    .unwrap()
-            };
-            let dynamic = run(&mut TracerouteProber::new(&t));
-            let shared = run(&mut TracerouteProber::with_table(&t, &table));
-            assert_eq!(dynamic, shared, "seed {seed}");
-        }
     }
 
     #[test]

@@ -633,7 +633,7 @@ mod tests {
     use crate::access::AccessTechnology;
     use crate::ping::{PingConfig, PingProber};
     use crate::queue::DiurnalLoad;
-    use crate::routing::Router;
+    use crate::routing::{RouteTable, Router};
     use crate::stochastic::SimRng;
     use crate::time::SimTime;
 
@@ -692,7 +692,8 @@ mod tests {
             AccessLink::new(AccessTechnology::Ftth, 1.0),
         );
         let _ = de;
-        let mut prober = PingProber::new(net.topology());
+        let table = RouteTable::for_pair(net.topology(), probe, dc);
+        let mut prober = PingProber::with_table(net.topology(), &table);
         let mut rng = SimRng::new(9);
         let out = prober
             .ping(
@@ -725,7 +726,9 @@ mod tests {
             "TD",
             AccessLink::new(AccessTechnology::Ftth, 1.0),
         );
-        let mut prober = PingProber::new(net.topology());
+        let wants = [(probe_de, vec![dc]), (probe_td, vec![dc])];
+        let table = RouteTable::build(net.topology(), &wants, 1);
+        let mut prober = PingProber::with_table(net.topology(), &table);
         let mut rng = SimRng::new(13);
         let rtt = |prober: &mut PingProber, p, rng: &mut SimRng| {
             prober

@@ -8,7 +8,6 @@
 
 use latency_shears::netsim::packetsim::ping_event_driven;
 use latency_shears::netsim::queue::DiurnalLoad;
-use latency_shears::netsim::routing::Router;
 use latency_shears::netsim::stochastic::SimRng;
 use latency_shears::netsim::wire::EchoPacket;
 use latency_shears::prelude::*;
@@ -57,13 +56,12 @@ fn main() {
     );
 
     // 2. The path.
-    let mut router = Router::new(platform.topology());
-    let path = router
-        .path(
-            platform.probe_node(probe.id),
-            platform.dc_node(target as usize),
-        )
-        .expect("connected");
+    let (from, to) = (
+        platform.probe_node(probe.id),
+        platform.dc_node(target as usize),
+    );
+    let table = platform.route_table_over([(probe.id, to)]);
+    let path = table.path(from, to).expect("connected").to_path_info();
     println!(
         "route: probe #{} ({}, {}) -> {} — {} hops, {:.2} ms one-way floor",
         probe.id.0,
@@ -82,7 +80,7 @@ fn main() {
     let mut rng = SimRng::new(99);
     let outcome = ping_event_driven(
         platform.topology(),
-        path,
+        &path,
         Some(probe.access),
         DiurnalLoad::residential(),
         SimTime::from_hours(20), // local evening somewhere

@@ -68,8 +68,13 @@
 #               router), ping tests (the per-traversal oracle, with a
 #               probe-round pass through the hop-wait memo) and
 #               topology tests (the per-link delay records), plus the
-#               route-table-vs-router grid on 600-probe fleets and the
-#               build's thread-count invariance
+#               route-table-vs-router grid on 600-probe fleets, the
+#               build's thread-count invariance, and two output pins
+#               that every route-table reader feeds: `shears reproduce`
+#               at --scale 60x2 (stdout length and FNV-1a digest,
+#               tests/reproduce.rs) and the API's route-body goldens
+#               (service::tests::json_route_bodies_are_pinned, fault-free
+#               and chaos creates and traceroutes)
 #   kernels   — only the column-kernel suite: percentile/median and
 #               region_min_scan pinned bit for bit against the test-only
 #               scalar reference (percentile against Ecdf too), on
@@ -170,6 +175,8 @@ delay)
     tests -p shears-netsim ping::
     tests -p shears-netsim topology::
     tests --test determinism route_table
+    tests --test reproduce
+    tests -p shears-api service::tests::json_route_bodies_are_pinned
     ;;
 kernels)
     echo "==> kernels profile: kernel-vs-scalar bit-equality"

@@ -235,11 +235,13 @@ fn cmd_trace(opts: &Options) -> ExitCode {
         probe.access.tech.atlas_tag(),
         region.label()
     );
-    let mut prober = TracerouteProber::new(platform.topology());
+    let to = platform.dc_node(target as usize);
+    let table = platform.route_table_over([(probe.id, to)]);
+    let mut prober = TracerouteProber::with_table(platform.topology(), &table);
     let mut rng = SimRng::new(0x7ace);
     let Some(out) = prober.trace(
         platform.probe_node(probe.id),
-        platform.dc_node(target as usize),
+        to,
         Some(probe.access),
         DiurnalLoad::residential(),
         SimTime::from_hours(2),

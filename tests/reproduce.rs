@@ -1,7 +1,10 @@
 //! Smoke test for `shears reproduce`: every section renders from one
-//! small campaign, and bad input is refused before anything is built.
+//! small campaign, its stdout is pinned byte for byte, and bad input is
+//! refused before anything is built.
 
 use std::process::{Command, Output};
+
+use latency_shears::netsim::fault::Fnv1a;
 
 const SECTIONS: [&str; 19] = [
     "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "text1", "ext1", "ext2",
@@ -26,7 +29,12 @@ fn every_section_renders_from_one_campaign() {
     }
     assert_eq!(stderr.matches("building platform").count(), 1, "{stderr}");
     assert_eq!(stderr.matches("campaign done:").count(), 1, "{stderr}");
-    assert!(!out.stdout.is_empty());
+    // Length and FNV-1a digest of every section's tables. A change that
+    // moves the model re-pins them and says so in CHANGES.md.
+    assert_eq!(
+        (out.stdout.len(), Fnv1a::digest_of(&out.stdout)),
+        (32_718, 0x7039_c8d1_deab_b209)
+    );
 }
 
 #[test]
