@@ -760,7 +760,7 @@ impl Reroutes {
 /// or a shared [`crate::fault::FaultRouter`] (the table under a fault
 /// plan's link cuts). Both are built over the pairs the caller probes;
 /// a lookup never searches or allocates.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub enum RouteSource<'t> {
     /// Borrowed precomputed table.
     Shared(&'t RouteTable),
