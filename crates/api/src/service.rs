@@ -12,8 +12,10 @@
 //! [`CampaignFrame::build`] over its columnar [`ResultStore`], and kept
 //! in the entry: repeated `GET /stats` is a lookup
 //! ([`AtlasService::frame_builds`] counts builds, pinning that in
-//! tests). A durable resume that finds a longer copy of a measurement
-//! replaces the whole entry, so the new samples start with no stats.
+//! tests). Its `GET /results` body is likewise encoded once and served
+//! from the entry as stored bytes. A durable resume that finds a longer
+//! copy of a measurement replaces the whole entry, so the new samples
+//! start with neither.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -84,11 +86,17 @@ struct StoredMeasurement {
 }
 
 /// One measurement. Its samples never change after insert, so readers
-/// share it without a lock; a longer durable copy replaces the entry.
+/// share it without a lock, and what is derived from them is derived
+/// once; a longer durable copy replaces the entry, derived parts and
+/// all.
 struct MeasurementEntry {
     data: StoredMeasurement,
     /// The stats, filled by the first `GET /stats` from one frame build.
     stats: OnceLock<MeasurementStatsDto>,
+    /// The `GET /results` body, filled by the first such GET. At the
+    /// service's caps (20 rounds of 200 probes) it holds at most 4,000
+    /// rows, about 0.45 MB.
+    results: OnceLock<Vec<u8>>,
 }
 
 impl MeasurementEntry {
@@ -96,6 +104,7 @@ impl MeasurementEntry {
         Arc::new(Self {
             data,
             stats: OnceLock::new(),
+            results: OnceLock::new(),
         })
     }
 }
@@ -881,21 +890,23 @@ impl AtlasService {
         Response::json_bytes(200, body)
     }
 
-    /// `GET /api/v2/measurements/{id}/results`: every row, encoded as
-    /// it is read from the store.
+    /// `GET /api/v2/measurements/{id}/results`: every row. The body is
+    /// encoded once per entry and copied out on each GET; a concurrent
+    /// first GET waits for that one encoding.
     fn get_results(&self, id: &str) -> Response {
         let Ok(id) = id.parse::<u64>() else {
             return Response::error(400, "measurement id must be an integer");
         };
-        match self.entry(id) {
-            Some(e) => {
-                let data = &e.data;
-                let mut body = Vec::with_capacity(2 + data.store.len() * 112);
-                json::write_array(&mut body, data.store.iter().map(|s| ResultDto::from(&s)));
-                Response::json_bytes(200, body)
-            }
-            None => Response::error(404, "no such measurement"),
-        }
+        let Some(entry) = self.entry(id) else {
+            return Response::error(404, "no such measurement");
+        };
+        let body = entry.results.get_or_init(|| {
+            let store = &entry.data.store;
+            let mut body = Vec::with_capacity(2 + store.len() * 112);
+            json::write_array(&mut body, store.iter().map(|s| ResultDto::from(&s)));
+            body
+        });
+        Response::json_bytes(200, body.clone())
     }
 }
 
@@ -1160,6 +1171,52 @@ mod tests {
             200
         );
         assert_eq!(svc.frame_builds(), 2);
+    }
+
+    #[test]
+    fn repeated_results_gets_encode_once() {
+        let svc = service();
+        seed(&svc, 9, 2, 10);
+        seed(&svc, 3, 1, 5);
+        let cached = |id: u64| svc.entry(id).unwrap().results.get().cloned();
+        assert_eq!(cached(1), None, "creation must not encode results");
+
+        let first = svc.handle(&get("/api/v2/measurements/1/results", &[]));
+        assert_eq!(first.status, 200);
+        assert_eq!(cached(1).as_ref(), Some(&first.body));
+        for _ in 0..5 {
+            let again = svc.handle(&get("/api/v2/measurements/1/results", &[]));
+            assert_eq!(again.status, 200);
+            assert_eq!(again.body, first.body, "cached results must be identical");
+        }
+
+        // A different measurement has its own cache entry.
+        assert_eq!(cached(2), None);
+        let other = svc.handle(&get("/api/v2/measurements/2/results", &[]));
+        assert_eq!(other.status, 200);
+        assert_eq!(cached(2).as_ref(), Some(&other.body));
+        assert_ne!(other.body, first.body);
+        assert_eq!(cached(1).as_ref(), Some(&first.body));
+
+        // Concurrent first readers of a fresh measurement share one body.
+        seed(&svc, 5, 1, 8);
+        assert_eq!(cached(3), None);
+        let start = std::sync::Barrier::new(8);
+        let bodies: Vec<Vec<u8>> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let r = svc.handle(&get("/api/v2/measurements/3/results", &[]));
+                        assert_eq!(r.status, 200);
+                        r.body
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let stored = cached(3).unwrap();
+        assert!(bodies.iter().all(|b| *b == stored), "one body for all");
     }
 
     #[test]
@@ -1446,7 +1503,7 @@ mod tests {
             .unwrap();
         seed(&svc, 9, 2, 10);
 
-        // Warm the cache.
+        // Warm the caches.
         assert_eq!(
             svc.handle(&get("/api/v2/measurements/1/stats", &[])).status,
             200
@@ -1458,6 +1515,13 @@ mod tests {
         assert_eq!(svc.frame_builds(), 1);
         let samples_before = svc.entry(1).unwrap().data.store.len();
         assert!(samples_before > 0);
+        let results = || {
+            let r = svc.handle(&get("/api/v2/measurements/1/results", &[]));
+            assert_eq!(r.status, 200);
+            r.body
+        };
+        let rows_before: Vec<ResultDto> = json::from_slice(&results()).unwrap();
+        assert_eq!(rows_before.len(), samples_before);
 
         // Simulate another process appending a round and flushing (the
         // copy extends the rows in memory), then one rewriting history
@@ -1492,8 +1556,14 @@ mod tests {
             // cached pre-resume ones.
             let stats: MeasurementStatsDto = json::from_slice(&body).unwrap();
             assert_eq!(stats.samples, samples);
+            // So do the served rows, and a repeat GET serves them again.
+            let rows_body = results();
+            let rows: Vec<ResultDto> = json::from_slice(&rows_body).unwrap();
+            assert_eq!(rows.len(), samples, "results follow the new copy");
+            assert_eq!(results(), rows_body);
         }
         assert_eq!(svc.entry(1).unwrap().data.store.len(), samples_before + 2);
+        let rows_body = results();
 
         // Re-resume with identical disk state: idempotent, no resync.
         let (recovered, _) = svc.resume_from_disk().unwrap();
@@ -1503,6 +1573,12 @@ mod tests {
             200
         );
         assert_eq!(svc.frame_builds(), 3);
+        assert_eq!(
+            svc.entry(1).unwrap().results.get(),
+            Some(&rows_body),
+            "an equal-length resume keeps the cached body"
+        );
+        assert_eq!(results(), rows_body);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1900,6 +1976,15 @@ mod tests {
                     r#"{"target_region": 9, "probe_limit": 50}"#,
                 )),
             ),
+            // Repeat reads are served from each entry's stored body.
+            pin(
+                "results again",
+                svc.handle(&get("/api/v2/measurements/1/results", &[])),
+            ),
+            pin(
+                "results fault-free again",
+                svc.handle(&get("/api/v2/measurements/2/results", &[])),
+            ),
         ];
         let traced_countries: std::collections::HashSet<_> = svc
             .platform
@@ -1926,6 +2011,8 @@ mod tests {
                 ("create fault-free", 201, 162, 0x45362f10ef918bdc),
                 ("results fault-free", 200, 6636, 0x66e843a2bed25771),
                 ("traceroutes world", 200, 16623, 0xf05fce9fb8140ac3),
+                ("results again", 200, 6634, 0x48073395d31d284c),
+                ("results fault-free again", 200, 6636, 0x66e843a2bed25771),
             ]
         );
     }

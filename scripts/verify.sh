@@ -28,10 +28,10 @@
 #               pins that a cadence leaves the journal's bytes alone)
 #   api       — only the API serving path: the concurrent reader/writer
 #               stress test over real TCP, the api crate's unit tests
-#               (sharded state, once-per-entry stats, resume
-#               validation, server, the route body goldens) and
-#               property suite (hostile create bodies, DTO round
-#               trips), the JSON module's unit tests, and the HTTP
+#               (sharded state, stats and results bodies built once per
+#               entry, resume validation, server, the route body
+#               goldens) and property suite (hostile create bodies, DTO
+#               round trips), the JSON module's unit tests, and the HTTP
 #               integration suite
 #   frame     — only the columnar-store / incremental-frame suite: the
 #               store's row/column accessor equivalence, the frame's
@@ -74,7 +74,8 @@
 #               at --scale 60x2 (stdout length and FNV-1a digest,
 #               tests/reproduce.rs) and the API's route-body goldens
 #               (service::tests::json_route_bodies_are_pinned, fault-free
-#               and chaos creates and traceroutes)
+#               and chaos creates and traceroutes); then the inline
+#               check below on the release `shears` those tests built
 #   kernels   — only the column-kernel suite: percentile/median and
 #               region_min_scan pinned bit for bit against the test-only
 #               scalar reference (percentile against Ecdf too), on
@@ -83,8 +84,12 @@
 #               bootstrap, Summary-over-Ecdf); and the store unit tests
 #
 # Every profile command fails when its filter matches no test (cargo
-# itself passes a filter that matches nothing). An unknown profile
-# prints this usage and exits 2.
+# itself passes a filter that matches nothing). The full and delay
+# profiles also fail when `nm` (binutils) lists an out-of-line
+# AccessLink::sample_one_way_ms in the release `shears` binary: the
+# per-hop loop of every ping calls it, and no test notices when it
+# stops being inlined there.
+# An unknown profile prints this usage and exits 2.
 #
 # The workspace has no external crates and commits its Cargo.lock; the
 # full profile builds with --locked --offline, so a registry dependency
@@ -108,6 +113,29 @@ tests() {
         echo "verify: 'cargo test --release $*' ran no test" >&2
         exit 1
     fi
+}
+
+# Fails when the release `shears` binary holds an out-of-line copy of
+# the access hop's delay draw, which must be inlined into the ping
+# loop's per-hop sampler.
+hot_path_inlined() {
+    local bin="${CARGO_TARGET_DIR:-target}/release/shears"
+    local symbol='shears_netsim::access::AccessLink::sample_one_way_ms'
+    if ! command -v nm >/dev/null; then
+        echo "verify: nm not found; it is needed to check that $symbol is inlined" >&2
+        exit 1
+    fi
+    local symbols
+    symbols="$(nm -C "$bin")"
+    if ! grep -qF 'shears_netsim::' <<<"$symbols"; then
+        echo "verify: $bin lists no shears_netsim symbol; cannot check the inline" >&2
+        exit 1
+    fi
+    if grep -F "$symbol" <<<"$symbols"; then
+        echo "verify: $bin has an out-of-line $symbol; the ping loop lost its inline" >&2
+        exit 1
+    fi
+    echo "verify: $symbol is inlined in $bin"
 }
 
 case "$profile" in
@@ -177,6 +205,7 @@ delay)
     tests --test determinism route_table
     tests --test reproduce
     tests -p shears-api service::tests::json_route_bodies_are_pinned
+    hot_path_inlined
     ;;
 kernels)
     echo "==> kernels profile: kernel-vs-scalar bit-equality"
@@ -187,6 +216,7 @@ kernels)
 full)
     echo "==> cargo build --release"
     cargo build --release --workspace --locked --offline
+    hot_path_inlined
 
     echo "==> cargo test"
     cargo test -q --workspace --locked --offline
