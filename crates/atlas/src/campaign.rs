@@ -1370,6 +1370,13 @@ mod tests {
             recovery: RetryPolicy::atlas_default(),
             ..tiny_cfg()
         };
+        // At this seed the TCP arm retries and refunds (at the default
+        // seed its retries are rare).
+        let tcp_chaos = CampaignConfig {
+            kind: MeasurementType::TcpConnect,
+            seed: 1,
+            ..chaos
+        };
         for (profile, cfg, complete, crashed) in [
             (
                 "fault-free",
@@ -1378,6 +1385,12 @@ mod tests {
                 0x5c76_2d31_3444_90fa,
             ),
             ("chaos", chaos, 0xcdcd_e9af_598f_af08, 0x93cc_f534_67ea_e42e),
+            (
+                "tcp chaos",
+                tcp_chaos,
+                0xdde4_c209_9a1e_6a20,
+                0xf69a_0429_f106_83d7,
+            ),
         ] {
             for threads in [1usize, 2] {
                 for fsync in [false, true] {
@@ -1395,7 +1408,15 @@ mod tests {
                             Campaign::new(&p, cfg).run_durable(threads, &d),
                             crash_after_round,
                         ) {
-                            (Ok(_), None) => {}
+                            (Ok(out), None) => {
+                                if cfg.kind == MeasurementType::TcpConnect {
+                                    assert!(
+                                        out.store.sent().iter().any(|&sent| sent > 1),
+                                        "{what}: no TCP measurement retried"
+                                    );
+                                    assert!(out.ledger.refunded() > 0, "{what}: nothing refunded");
+                                }
+                            }
                             (Err(CampaignError::SimulatedCrash { round }), Some(kill))
                                 if round == kill => {}
                             (other, _) => panic!("{what}: {:?}", other.map(|o| o.store.len())),
