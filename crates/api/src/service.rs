@@ -420,53 +420,32 @@ impl AtlasService {
         let mut store = ResultStore::with_capacity(probes.len() * rounds as usize);
         let mut retried_rounds = 0usize;
         let mut refund = 0u64;
+        let region = spec.target_region as u16;
+        let load = DiurnalLoad::residential();
+        // Hourly rounds, every probe up; a pair that a cut disconnects
+        // is skipped rather than stored as a lost row.
         for round in 0..rounds {
             let at = SimTime::from_hours(u64::from(round));
             for probe in &probes {
                 let mut rng = master.fork_keyed(u64::from(probe.id.0), u64::from(round));
-                let mut schedule = policy.schedule(at);
-                let mut attempts = 0u32;
-                let mut best = None;
-                let succeeded = loop {
-                    attempts += 1;
-                    let outcome = prober.ping(
-                        self.platform.probe_node(probe.id),
-                        target,
-                        Some(probe.access),
-                        DiurnalLoad::residential(),
-                        schedule.attempt_at(),
-                        &cfg,
-                        &mut rng,
-                    );
-                    let ok = outcome.as_ref().is_some_and(|o| o.received > 0);
-                    if ok || best.is_none() {
-                        best = outcome;
-                    }
-                    if ok {
-                        break true;
-                    }
-                    if !schedule.next(&policy, &mut rng) {
-                        break false;
-                    }
-                };
-                if attempts > 1 {
-                    retried_rounds += 1;
-                }
-                if !succeeded && policy.refund_failures {
-                    refund += round_cost.saturating_mul(u64::from(attempts));
-                }
-                let Some(outcome) = best else {
-                    continue;
-                };
-                store.push(RttSample {
-                    probe: probe.id,
-                    region: spec.target_region as u16,
+                let (from, access) = (self.platform.probe_node(probe.id), Some(probe.access));
+                let measured = policy.measure(
                     at,
-                    min_ms: outcome.min_ms().map_or(f32::INFINITY, |v| v as f32),
-                    avg_ms: outcome.avg_ms().map_or(f32::INFINITY, |v| v as f32),
-                    sent: (outcome.sent.saturating_mul(attempts)).min(255) as u8,
-                    received: outcome.received.min(255) as u8,
-                });
+                    &mut rng,
+                    |when, rng| prober.ping(from, target, access, load, when, &cfg, rng),
+                    |o| o.received > 0,
+                );
+                retried_rounds += usize::from(measured.attempts > 1);
+                refund += policy.charge(&measured, round_cost).1;
+                if measured.outcome.is_some() {
+                    store.push(RttSample::ping(
+                        probe.id,
+                        region,
+                        at,
+                        spec.packets,
+                        &measured,
+                    ));
+                }
             }
         }
 

@@ -15,7 +15,7 @@ use shears_netsim::fault::{FaultConfig, FaultPlan, FaultRouter};
 use shears_netsim::ping::{PingConfig, PingProber};
 use shears_netsim::queue::DiurnalLoad;
 use shears_netsim::stochastic::SimRng;
-use shears_netsim::tcp::{TcpConfig, TcpProber};
+use shears_netsim::tcp::{TcpConfig, TcpOutcome, TcpProber};
 use shears_netsim::{RouteTable, SimTime};
 
 use crate::availability::OutageSchedule;
@@ -271,131 +271,6 @@ impl<'p> Campaign<'p> {
         up.then_some((rng, at))
     }
 
-    /// Measures one probe in one round, appending its samples.
-    #[allow(clippy::too_many_arguments)]
-    fn run_probe_round(
-        &self,
-        prober: &mut RoundProber<'_>,
-        master: &SimRng,
-        targets: &[u16],
-        outages: Option<&[OutageSchedule]>,
-        probe: &Probe,
-        round: u32,
-        store: &mut ResultStore,
-        ledger: &mut CreditLedger,
-    ) -> Result<(), CreditError> {
-        let Some((mut rng, at)) = self.probe_slot(master, outages, probe, round) else {
-            return Ok(());
-        };
-        let ping_cfg = PingConfig {
-            packets: self.cfg.packets,
-            ..PingConfig::default()
-        };
-        let policy = &self.cfg.recovery;
-        let cost = CreditLedger::ping_cost(self.cfg.packets);
-        for &region in targets {
-            let from = self.platform.probe_node(probe.id);
-            let to = self.platform.dc_node(region as usize);
-            // Bounded-retry measurement loop. Each attempt is debited like
-            // a fresh measurement; retries fire at backed-off instants but
-            // the recorded sample keeps the scheduled round time, and its
-            // `sent` field accumulates every attempt's packets so the
-            // retry count survives into the store. A disconnected pair
-            // (link cuts can sever it outright) degrades to a lost sample
-            // instead of aborting the round.
-            let mut schedule = policy.schedule(at);
-            let mut attempts = 0u32;
-            let mut ping_ok: Option<shears_netsim::ping::PingOutcome> = None;
-            let mut tcp_ok: Option<shears_netsim::tcp::TcpOutcome> = None;
-            loop {
-                ledger.debit(cost)?;
-                attempts += 1;
-                let when = schedule.attempt_at();
-                let succeeded = match prober {
-                    RoundProber::Ping(prober) => {
-                        let outcome = prober.ping(
-                            from,
-                            to,
-                            Some(probe.access),
-                            DiurnalLoad::residential(),
-                            when,
-                            &ping_cfg,
-                            &mut rng,
-                        );
-                        let ok = outcome.as_ref().is_some_and(|o| o.received > 0);
-                        if ok || ping_ok.is_none() {
-                            ping_ok = outcome;
-                        }
-                        ok
-                    }
-                    RoundProber::Tcp(prober) => {
-                        let outcome = prober.connect(
-                            from,
-                            to,
-                            Some(probe.access),
-                            DiurnalLoad::residential(),
-                            when,
-                            &TcpConfig::default(),
-                            &mut rng,
-                        );
-                        let ok = outcome.as_ref().is_some_and(|o| o.established());
-                        if ok || tcp_ok.is_none() {
-                            tcp_ok = outcome;
-                        }
-                        ok
-                    }
-                };
-                if succeeded || !schedule.next(policy, &mut rng) {
-                    if !succeeded && policy.refund_failures {
-                        // Keyed by (probe, target, round) so a resumed
-                        // campaign can never refund the same failed
-                        // measurement twice.
-                        let key = (u64::from(probe.id.0) << 16) | u64::from(region);
-                        ledger.refund_once(key, round, cost.saturating_mul(u64::from(attempts)));
-                    }
-                    break;
-                }
-            }
-            let sample = match prober {
-                RoundProber::Ping(_) => {
-                    let (min_ms, avg_ms, received) =
-                        ping_ok.map_or((f32::INFINITY, f32::INFINITY, 0u8), |o| {
-                            (
-                                o.min_ms().map_or(f32::INFINITY, |v| v as f32),
-                                o.avg_ms().map_or(f32::INFINITY, |v| v as f32),
-                                o.received.min(u32::from(u8::MAX)) as u8,
-                            )
-                        });
-                    RttSample {
-                        probe: probe.id,
-                        region,
-                        at,
-                        min_ms,
-                        avg_ms,
-                        sent: (self.cfg.packets.saturating_mul(attempts)).min(u32::from(u8::MAX))
-                            as u8,
-                        received,
-                    }
-                }
-                RoundProber::Tcp(_) => {
-                    let connect = tcp_ok.as_ref().and_then(|o| o.connect_ms);
-                    let ms = connect.map_or(f32::INFINITY, |v| v as f32);
-                    RttSample {
-                        probe: probe.id,
-                        region,
-                        at,
-                        min_ms: ms,
-                        avg_ms: ms,
-                        sent: attempts.min(u32::from(u8::MAX)) as u8,
-                        received: u8::from(connect.is_some()),
-                    }
-                }
-            };
-            store.push(sample);
-        }
-        Ok(())
-    }
-
     /// Runs the campaign on one thread: [`Campaign::run_parallel`] with
     /// `threads == 1`, route table included.
     pub fn run(&self) -> Result<ResultStore, CampaignError> {
@@ -500,10 +375,12 @@ impl<'p> Campaign<'p> {
         Ok(DurableOutcome { store, ledger })
     }
 
-    /// One shard's slice of one round, measured against a scratch ledger
-    /// (campaign credits are settled by the caller at the round
-    /// barrier). Returns the shard's samples plus its gross spend and
-    /// refund for the round.
+    /// One shard's slice of one round: every online probe of `shard`
+    /// measures each of its targets once, through the policy's attempt
+    /// loop. Returns the shard's samples in probe order plus the round's
+    /// gross charge and refunds, which the caller settles at the round
+    /// barrier. A retry fires at its backed-off instant, but the row keeps
+    /// the scheduled one; a pair that a cut disconnects is a lost row.
     fn run_shard_round(
         &self,
         prober: &mut RoundProber<'_>,
@@ -513,30 +390,66 @@ impl<'p> Campaign<'p> {
         round: u32,
     ) -> (ResultStore, u64, u64) {
         let master = SimRng::new(self.cfg.seed);
-        let mut scratch = CreditLedger::new(u64::MAX);
+        let ping_cfg = PingConfig {
+            packets: self.cfg.packets,
+            ..PingConfig::default()
+        };
+        let tcp_cfg = TcpConfig::default();
+        let policy = &self.cfg.recovery;
+        let cost = CreditLedger::ping_cost(self.cfg.packets);
         // At most one sample per (probe, target): size every column once.
         let bound = shard.iter().map(|p| targets[p.id.index()].len()).sum();
         let mut store = ResultStore::with_capacity(bound);
+        let (mut gross, mut refunds) = (0, 0);
         for probe in shard {
-            self.run_probe_round(
-                prober,
-                &master,
-                &targets[probe.id.index()],
-                outages,
-                probe,
-                round,
-                &mut store,
-                &mut scratch,
-            )
-            .expect("scratch ledger cannot run dry");
+            let Some((mut rng, at)) = self.probe_slot(&master, outages, probe, round) else {
+                continue;
+            };
+            let from = self.platform.probe_node(probe.id);
+            let access = Some(probe.access);
+            let load = DiurnalLoad::residential();
+            for &region in &targets[probe.id.index()] {
+                let to = self.platform.dc_node(region as usize);
+                let (sample, (charge, refund)) = match prober {
+                    RoundProber::Ping(prober) => {
+                        let measured = policy.measure(
+                            at,
+                            &mut rng,
+                            |when, rng| prober.ping(from, to, access, load, when, &ping_cfg, rng),
+                            |o| o.received > 0,
+                        );
+                        (
+                            RttSample::ping(probe.id, region, at, self.cfg.packets, &measured),
+                            policy.charge(&measured, cost),
+                        )
+                    }
+                    RoundProber::Tcp(prober) => {
+                        let measured = policy.measure(
+                            at,
+                            &mut rng,
+                            |when, rng| prober.connect(from, to, access, load, when, &tcp_cfg, rng),
+                            TcpOutcome::established,
+                        );
+                        let connect = measured.outcome.as_ref().and_then(|o| o.connect_ms);
+                        let ms = connect.map_or(f32::INFINITY, |v| v as f32);
+                        let sample = RttSample {
+                            probe: probe.id,
+                            region,
+                            at,
+                            min_ms: ms,
+                            avg_ms: ms,
+                            sent: measured.attempts.min(u32::from(u8::MAX)) as u8,
+                            received: u8::from(connect.is_some()),
+                        };
+                        (sample, policy.charge(&measured, cost))
+                    }
+                };
+                gross += charge;
+                refunds += refund;
+                store.push(sample);
+            }
         }
-        // `spent()` is net of refunds; reconstruct the gross figure so
-        // the barrier can debit the whole charge before any refund.
-        (
-            store,
-            scratch.spent() + scratch.refunded(),
-            scratch.refunded(),
-        )
+        (store, gross, refunds)
     }
 
     /// The campaign's one round loop, shared by every entry point. The
@@ -1372,7 +1285,7 @@ mod tests {
         };
         // At this seed the TCP arm retries and refunds (at the default
         // seed its retries are rare).
-        let tcp_chaos = CampaignConfig {
+        let tcp = CampaignConfig {
             kind: MeasurementType::TcpConnect,
             seed: 1,
             ..chaos
@@ -1385,12 +1298,7 @@ mod tests {
                 0x5c76_2d31_3444_90fa,
             ),
             ("chaos", chaos, 0xcdcd_e9af_598f_af08, 0x93cc_f534_67ea_e42e),
-            (
-                "tcp chaos",
-                tcp_chaos,
-                0xdde4_c209_9a1e_6a20,
-                0xf69a_0429_f106_83d7,
-            ),
+            ("tcp", tcp, 0xdde4_c209_9a1e_6a20, 0xf69a_0429_f106_83d7),
         ] {
             for threads in [1usize, 2] {
                 for fsync in [false, true] {
@@ -1408,15 +1316,12 @@ mod tests {
                             Campaign::new(&p, cfg).run_durable(threads, &d),
                             crash_after_round,
                         ) {
-                            (Ok(out), None) => {
-                                if cfg.kind == MeasurementType::TcpConnect {
-                                    assert!(
-                                        out.store.sent().iter().any(|&sent| sent > 1),
-                                        "{what}: no TCP measurement retried"
-                                    );
-                                    assert!(out.ledger.refunded() > 0, "{what}: nothing refunded");
-                                }
-                            }
+                            (Ok(out), None) => assert!(
+                                cfg.kind == MeasurementType::Ping
+                                    || out.store.sent().iter().any(|&sent| sent > 1)
+                                        && out.ledger.refunded() > 0,
+                                "{what}: the TCP arm must retry and refund"
+                            ),
                             (Err(CampaignError::SimulatedCrash { round }), Some(kill))
                                 if round == kill => {}
                             (other, _) => panic!("{what}: {:?}", other.map(|o| o.store.len())),

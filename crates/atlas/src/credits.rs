@@ -5,8 +5,6 @@
 //! "supporting our measurements with increased quota limits" — so the
 //! ledger supports exactly that: a base quota plus boosts.
 
-use std::collections::HashSet;
-
 /// Why a debit was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CreditError {
@@ -39,10 +37,6 @@ pub struct CreditLedger {
     /// Credits returned for failed measurements (Atlas refunds one-offs
     /// that never respond). Absent in pre-recovery serialized ledgers.
     refunded: u64,
-    /// Refund keys already honoured, guarding resumed campaigns against
-    /// double-refunding the same `(measurement, round)`. Transient
-    /// bookkeeping — journals persist only the three counters above.
-    refund_keys: HashSet<(u64, u32)>,
 }
 
 impl CreditLedger {
@@ -52,19 +46,17 @@ impl CreditLedger {
             balance: initial,
             spent: 0,
             refunded: 0,
-            refund_keys: HashSet::new(),
         }
     }
 
-    /// Rebuilds a ledger from journaled counters (crash recovery). The
-    /// idempotence key set starts empty: replay never re-executes a
-    /// journaled round, so no journaled refund can be re-attempted.
+    /// Rebuilds a ledger from journaled counters (crash recovery).
+    /// Replay never re-executes a journaled round, so no journaled refund
+    /// can be paid twice.
     pub fn restore(balance: u64, spent: u64, refunded: u64) -> Self {
         Self {
             balance,
             spent,
             refunded,
-            refund_keys: HashSet::new(),
         }
     }
 
@@ -117,17 +109,6 @@ impl CreditLedger {
     /// Lifetime refunds for failed measurements.
     pub fn refunded(&self) -> u64 {
         self.refunded
-    }
-
-    /// Refunds `amount` at most once per `(measurement, round)` key;
-    /// repeat calls with the same key are no-ops returning 0. This is
-    /// what keeps a resumed campaign from double-refunding a failure it
-    /// already compensated before the crash.
-    pub fn refund_once(&mut self, measurement: u64, round: u32, amount: u64) -> u64 {
-        if !self.refund_keys.insert((measurement, round)) {
-            return 0;
-        }
-        self.refund(amount)
     }
 }
 
@@ -195,26 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn refund_once_is_idempotent_per_measurement_round() {
-        let mut l = CreditLedger::new(10);
-        l.debit(6).unwrap();
-        assert_eq!(l.refund_once(7, 3, 2), 2);
-        assert_eq!(l.refund_once(7, 3, 2), 0, "same key must not refund twice");
-        assert_eq!(l.refund_once(7, 4, 2), 2, "different round is a new key");
-        assert_eq!(l.refund_once(8, 3, 2), 2, "different measurement too");
-        assert_eq!(l.balance() + l.spent(), 10, "conservation holds throughout");
-        assert_eq!(l.refunded(), 6);
-    }
-
-    #[test]
-    fn restore_rebuilds_counters_with_a_fresh_key_set() {
-        let mut l = CreditLedger::restore(8, 2, 4);
+    fn restore_rebuilds_counters() {
+        let l = CreditLedger::restore(8, 2, 4);
         assert_eq!(l.balance(), 8);
         assert_eq!(l.spent(), 2);
         assert_eq!(l.refunded(), 4);
-        // Keys do not survive a restore; the first refund per key lands.
-        assert_eq!(l.refund_once(1, 1, 1), 1);
-        assert_eq!(l.refund_once(1, 1, 1), 0);
     }
 
     #[test]

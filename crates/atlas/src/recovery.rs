@@ -8,6 +8,10 @@
 //! per-`(probe, round)` [`SimRng`] stream, and [`RetryPolicy::none`] — the
 //! default — performs zero retries and zero extra RNG draws, so fault-free
 //! campaigns stay bit-identical with PR 2.
+//!
+//! [`RetryPolicy::measure`] is the one attempt loop: campaign rounds
+//! (ping and TCP) and the API's creates fire, retry and charge every
+//! measurement through it.
 
 use shears_netsim::stochastic::SimRng;
 use shears_netsim::SimTime;
@@ -60,9 +64,45 @@ impl RetryPolicy {
         }
     }
 
-    /// True for the do-nothing policy.
-    pub fn is_none(&self) -> bool {
-        self.max_retries == 0 && !self.refund_failures
+    /// Fires one measurement scheduled at `at`. `attempt` runs at each
+    /// instant of the retry schedule, drawing from `rng`, until
+    /// `succeeded` accepts its outcome or the schedule refuses a retry.
+    /// Jitter is drawn only after a failed attempt, and not after the
+    /// first refusal.
+    pub fn measure<T>(
+        &self,
+        at: SimTime,
+        rng: &mut SimRng,
+        mut attempt: impl FnMut(SimTime, &mut SimRng) -> Option<T>,
+        succeeded: impl Fn(&T) -> bool,
+    ) -> Measured<T> {
+        let mut schedule = self.schedule(at);
+        let mut kept = None;
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let outcome = attempt(schedule.attempt_at(), rng);
+            let ok = outcome.as_ref().is_some_and(&succeeded);
+            if ok || kept.is_none() {
+                kept = outcome;
+            }
+            if ok || !schedule.next(self, rng) {
+                return Measured {
+                    outcome: kept,
+                    attempts,
+                    succeeded: ok,
+                };
+            }
+        }
+    }
+
+    /// The credits `measured` is charged at `cost` per attempt, and the
+    /// part of them refunded: all of it when no attempt succeeded and the
+    /// policy refunds failures.
+    pub fn charge<T>(&self, measured: &Measured<T>, cost: u64) -> (u64, u64) {
+        let charge = cost.saturating_mul(u64::from(measured.attempts));
+        let refunded = !measured.succeeded && self.refund_failures;
+        (charge, if refunded { charge } else { 0 })
     }
 
     /// Starts the retry schedule for a measurement scheduled at `at`.
@@ -93,6 +133,18 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy::none()
     }
+}
+
+/// What [`RetryPolicy::measure`] found for one measurement.
+#[derive(Debug)]
+pub struct Measured<T> {
+    /// The successful attempt's outcome, else the first outcome an
+    /// attempt returned (`None`: none did, as for a disconnected pair).
+    pub outcome: Option<T>,
+    /// Attempts fired, the first included.
+    pub attempts: u32,
+    /// Whether an attempt succeeded.
+    pub succeeded: bool,
 }
 
 /// Iterator-like state for one measurement's attempts under a
@@ -161,6 +213,33 @@ mod tests {
         // The refusal consumed no RNG state.
         assert_eq!(rng.next_u64(), twin.next_u64());
         assert_eq!(policy.max_total_delay(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn measure_keeps_the_success_else_the_first_outcome() {
+        let policy = RetryPolicy {
+            jitter: 0.0,
+            ..RetryPolicy::atlas_default()
+        };
+        let start = SimTime::from_hours(1);
+        // Attempt k (from 1) returns `(k, ok)`, or nothing for `None`.
+        let run = |outcomes: [Option<bool>; 3]| {
+            let mut fired = Vec::new();
+            let attempt = |when, _: &mut SimRng| {
+                fired.push(when);
+                outcomes[fired.len() - 1].map(|ok| (fired.len(), ok))
+            };
+            let measured = policy.measure(start, &mut SimRng::new(5), attempt, |o| o.1);
+            (measured, fired)
+        };
+        let (won, fired) = run([None, Some(false), Some(true)]);
+        let secs = SimTime::from_secs;
+        assert_eq!(fired, [start, start + secs(30), start + secs(90)]);
+        assert_eq!((won.outcome, won.attempts), (Some((3, true)), 3));
+        assert_eq!(policy.charge(&won, 3), (9, 0), "a success is not refunded");
+        let (lost, _) = run([None, Some(false), Some(false)]);
+        assert_eq!((lost.outcome, lost.succeeded), (Some((2, false)), false));
+        assert_eq!(policy.charge(&lost, 3), (9, 9), "a failure is refunded");
     }
 
     #[test]

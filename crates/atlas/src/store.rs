@@ -13,10 +13,12 @@
 //! [`ResultStore::iter`] materialise [`RttSample`] values on the fly
 //! (cheap — seven column reads). Whole stores compare with `==`.
 
+use shears_netsim::ping::PingOutcome;
 use shears_netsim::SimTime;
 
 use crate::json::{self, ToJson};
 use crate::probe::ProbeId;
+use crate::recovery::Measured;
 
 /// One ping (or TCP-connect) measurement result.
 ///
@@ -57,6 +59,30 @@ crate::json_struct!(RttSample {
 });
 
 impl RttSample {
+    /// The row of a ping measurement scheduled at `at`: the kept
+    /// outcome's minimum and mean RTT and its replies, or a lost row
+    /// (`INFINITY`, no replies) when no attempt returned an outcome.
+    /// `sent` counts `packets` for every attempt, capped at 255.
+    pub fn ping(
+        probe: ProbeId,
+        region: u16,
+        at: SimTime,
+        packets: u32,
+        measured: &Measured<PingOutcome>,
+    ) -> Self {
+        let ms = |v: Option<f64>| v.map_or(f32::INFINITY, |v| v as f32);
+        let outcome = measured.outcome.as_ref();
+        RttSample {
+            probe,
+            region,
+            at,
+            min_ms: ms(outcome.and_then(PingOutcome::min_ms)),
+            avg_ms: ms(outcome.and_then(PingOutcome::avg_ms)),
+            sent: packets.saturating_mul(measured.attempts).min(255) as u8,
+            received: outcome.map_or(0, |o| o.received.min(255) as u8),
+        }
+    }
+
     /// Whether at least one reply arrived.
     pub fn responded(&self) -> bool {
         self.received > 0

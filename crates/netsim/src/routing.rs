@@ -392,10 +392,16 @@ struct Chain {
 
 impl Chain {
     /// Follows `source`'s chain while the current node has exactly one
-    /// link out (besides the one the chain arrived by). It never steps
-    /// into a stub (which a search would not expand), into one of
-    /// `targets` (whose route must end there) or back onto itself.
-    fn walk(topo: &Topology, source: NodeId, targets: &[NodeId]) -> Chain {
+    /// link out that is not `disabled` (besides the one the chain arrived
+    /// by). It never steps over a disabled link, into a stub (which a
+    /// search would not expand), into one of `targets` (whose route must
+    /// end there) or back onto itself.
+    fn walk(
+        topo: &Topology,
+        source: NodeId,
+        targets: &[NodeId],
+        disabled: &HashSet<LinkId>,
+    ) -> Chain {
         let mut chain = Chain {
             nodes: vec![source],
             links: Vec::new(),
@@ -408,7 +414,7 @@ impl Chain {
             let arrived_by = chain.links.last().copied();
             let mut exits = topo
                 .neighbors(node)
-                .filter(|&(_, link)| Some(link) != arrived_by);
+                .filter(|&(_, link)| Some(link) != arrived_by && !disabled.contains(&link));
             let (Some((next, link)), None) = (exits.next(), exits.next()) else {
                 break;
             };
@@ -438,18 +444,20 @@ struct HeadSearch {
     targets: Vec<NodeId>,
 }
 
-/// Groups the requests by chain head. Returns each request's chain, the
-/// index of its head's search, and the searches in first-seen order.
+/// Groups the requests by chain head, with the `disabled` links failed.
+/// Returns each request's chain, the index of its head's search, and the
+/// searches in first-seen order.
 fn group_by_head(
     topo: &Topology,
     wants: &[(NodeId, Vec<NodeId>)],
+    disabled: &HashSet<LinkId>,
 ) -> (Vec<(Chain, usize)>, Vec<HeadSearch>) {
     let mut search_of: HashMap<NodeId, usize> = HashMap::new();
     let mut searches: Vec<HeadSearch> = Vec::new();
     let chains = wants
         .iter()
         .map(|(source, targets)| {
-            let chain = Chain::walk(topo, *source, targets);
+            let chain = Chain::walk(topo, *source, targets, disabled);
             let head = chain.head();
             let search = *search_of.entry(head).or_insert_with(|| {
                 searches.push(HeadSearch {
@@ -545,14 +553,24 @@ impl RouteTable {
     /// worker threads; the assembled table is identical for every thread
     /// count.
     pub fn build(topo: &Topology, wants: &[(NodeId, Vec<NodeId>)], threads: usize) -> Self {
-        let no_disabled = HashSet::new();
-        let (chains, searches) = group_by_head(topo, wants);
+        Self::build_around(topo, wants, threads, &HashSet::new())
+    }
+
+    /// [`RouteTable::build`] with the links of `disabled` treated as
+    /// failed: no chain steps over one and no search relaxes one.
+    fn build_around(
+        topo: &Topology,
+        wants: &[(NodeId, Vec<NodeId>)],
+        threads: usize,
+        disabled: &HashSet<LinkId>,
+    ) -> Self {
+        let (chains, searches) = group_by_head(topo, wants, disabled);
         let threads = threads.clamp(1, searches.len().max(1));
         // One scratch set per worker, reused across its searches.
         let resolve = |part: &[HeadSearch]| {
             let mut scratch = DijkstraScratch::default();
             part.iter()
-                .map(|s| shortest_paths(topo, &no_disabled, s.head, &s.targets, &mut scratch))
+                .map(|s| shortest_paths(topo, disabled, s.head, &s.targets, &mut scratch))
                 .collect::<Vec<_>>()
         };
         let trees: Vec<Vec<Option<PathInfo>>> = if threads <= 1 {
@@ -593,17 +611,16 @@ impl RouteTable {
         let mut table = Self::with_capacity(route_upper, total_links);
         for (pair, route) in routes() {
             if let Some(parts) = route {
-                table.push(pair, parts, |nodes, links| {
-                    replay_floor_ms(topo, nodes, links)
-                });
+                table.push(topo, pair, parts);
             }
         }
         table
     }
 
     /// The routes of this table that cross a link in `cut`, re-resolved
-    /// around the cut: one search from each source over its crossing
-    /// targets, in route order. Each route equals
+    /// around the cut by a [`RouteTable::build`] over the crossing pairs
+    /// with the cut's links failed, so sources that share a chain head
+    /// share its search. Each route equals
     /// `Router::with_disabled(topo, cut)`'s in links, nodes and floor
     /// bits, or is severed when the cut disconnects its pair.
     ///
@@ -619,7 +636,7 @@ impl RouteTable {
             }
         }
         // Routes are stored source by source, so consecutive crossing
-        // routes of one source share its search.
+        // routes of one source form one request.
         let mut wants: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
         for route in (0..self.route_count()).map(|r| self.route(r)) {
             if !route.links.iter().any(|link| is_cut[link.index()]) {
@@ -631,27 +648,13 @@ impl RouteTable {
                 _ => wants.push((from, vec![to])),
             }
         }
-        let mut reroutes = Reroutes {
-            routes: Self::with_capacity(wants.iter().map(|(_, t)| t.len()).sum(), 0),
-            severed: HashSet::new(),
-        };
-        let mut scratch = DijkstraScratch::default();
-        for (from, targets) in &wants {
-            let paths = shortest_paths(topo, cut, *from, targets, &mut scratch);
-            for (&to, path) in targets.iter().zip(paths) {
-                let pair = (*from, to);
-                match path {
-                    Some(p) => {
-                        let parts = [(&p.nodes[..], &p.links[..])];
-                        reroutes.routes.push(pair, parts, |_, _| p.base_one_way_ms);
-                    }
-                    None => {
-                        reroutes.severed.insert(pair);
-                    }
-                }
-            }
-        }
-        reroutes
+        let routes = Self::build_around(topo, &wants, 1, cut);
+        let severed = wants
+            .iter()
+            .flat_map(|(from, targets)| targets.iter().map(move |&to| (*from, to)))
+            .filter(|&(from, to)| !routes.contains(from, to))
+            .collect();
+        Reroutes { routes, severed }
     }
 
     /// An empty table with room for `routes` routes of `links` links in
@@ -669,14 +672,13 @@ impl RouteTable {
     }
 
     /// Appends the route of `pair` from its node and link pieces, in
-    /// order; `floor` computes the route's one-way floor from its
-    /// assembled nodes and links. A pair already in the table keeps its
-    /// first route.
+    /// order, with the floor replayed over the assembled route. A pair
+    /// already in the table keeps its first route.
     fn push<'a>(
         &mut self,
+        topo: &Topology,
         pair: (NodeId, NodeId),
         parts: impl IntoIterator<Item = (&'a [NodeId], &'a [LinkId])>,
-        floor: impl FnOnce(&[NodeId], &[LinkId]) -> f64,
     ) {
         use std::collections::hash_map::Entry;
         let Entry::Vacant(slot) = self.index.entry(pair) else {
@@ -688,8 +690,8 @@ impl RouteTable {
             self.nodes.extend_from_slice(nodes);
             self.links.extend_from_slice(links);
         }
-        self.base
-            .push(floor(&self.nodes[first_node..], &self.links[first_link..]));
+        let floor = replay_floor_ms(topo, &self.nodes[first_node..], &self.links[first_link..]);
+        self.base.push(floor);
         let end = u32::try_from(self.links.len()).expect("route table arena limit");
         self.offsets.push(end);
     }
@@ -1020,18 +1022,20 @@ mod tests {
         }
     }
 
-    /// Every requested pair of `table` equals the per-pair [`Router`]
-    /// resolution: links, nodes and the floor's bits (or both absent).
-    fn assert_table_matches_router(
+    /// Every requested pair, as `path` resolves it, equals the per-pair
+    /// [`Router`] resolution with the `disabled` links failed: links,
+    /// nodes and the floor's bits (or both absent).
+    fn assert_matches_router<'a>(
         t: &Topology,
         wants: &[(NodeId, Vec<NodeId>)],
-        table: &RouteTable,
+        disabled: &HashSet<LinkId>,
+        path: impl Fn(NodeId, NodeId) -> Option<PathRef<'a>>,
     ) {
-        let mut router = Router::new(t);
+        let mut router = Router::with_disabled(t, disabled.clone());
         for (src, targets) in wants {
             for &to in targets {
                 let want = router.path(*src, to).cloned();
-                let got = table.path(*src, to).map(PathRef::to_path_info);
+                let got = path(*src, to).map(PathRef::to_path_info);
                 let bits = |p: &Option<PathInfo>| p.as_ref().map(|p| p.base_one_way_ms.to_bits());
                 assert_eq!(bits(&got), bits(&want), "floor {src:?} -> {to:?}");
                 assert_eq!(got, want, "{src:?} -> {to:?}");
@@ -1076,14 +1080,14 @@ mod tests {
         let wants: Vec<(NodeId, Vec<NodeId>)> =
             probes.iter().map(|&p| (p, vec![dc, d, up, down])).collect();
 
-        let (chains, searches) = group_by_head(&t, &wants);
+        let (chains, searches) = group_by_head(&t, &wants, &HashSet::new());
         assert_eq!(searches.len(), 1, "every chain ends at the diamond's head");
         assert_eq!(searches[0].head, a);
         let chain_lens: Vec<usize> = chains.iter().map(|(c, _)| c.nodes.len()).collect();
         assert_eq!(chain_lens, [3, 3, 3, 2]);
 
         let table = RouteTable::build(&t, &wants, 1);
-        assert_table_matches_router(&t, &wants, &table);
+        assert_matches_router(&t, &wants, &HashSet::new(), |from, to| table.path(from, to));
         assert_eq!(table.route_count(), probes.len() * 4);
         for &p in &probes {
             assert!(
@@ -1094,10 +1098,11 @@ mod tests {
         assert_eq!(RouteTable::build(&t, &wants, 3), table);
     }
 
-    #[test]
-    fn chains_stop_before_targets_stubs_and_branches() {
-        // probe — router — metro, where the metro branches to two hubs and
-        // a datacenter hangs off the first hub.
+    /// probe — router — metro, where the metro branches to two hubs that
+    /// also meet directly, and a datacenter hangs off the first hub. The
+    /// metro—h1 link is the short way to the datacenter. Returns the
+    /// topology and `[probe, router, metro, h1, h2, dc]`.
+    fn probe_behind_a_fork() -> (Topology, [NodeId; 6]) {
         let mut t = Topology::new();
         let metro = t.add_node(NodeKind::MetroPop, GeoPoint::new(0.0, 0.0), "XX");
         let h1 = t.add_node(NodeKind::IxpHub, GeoPoint::new(0.0, 3.0), "XX");
@@ -1109,17 +1114,52 @@ mod tests {
         t.connect(h1, dc, LinkClass::DatacenterFabric, 1.0);
         let p = attach_probe(&mut t, metro, 0.5, 3.0);
         let router = t.neighbors(p).next().unwrap().0;
+        (t, [p, router, metro, h1, h2, dc])
+    }
+
+    #[test]
+    fn reroutes_match_the_router_when_a_cut_severs_or_extends_a_chain() {
+        let (t, [p, router, metro, h1, h2, dc]) = probe_behind_a_fork();
+        let wants = vec![(p, vec![dc, h2, metro]), (metro, vec![dc, p])];
+        // Returns how many crossing pairs re-route and how many are severed.
+        let reroute = |cut: HashSet<LinkId>| {
+            let table = RouteTable::build(&t, &wants, 1);
+            let reroutes = table.reroute(&t, &cut);
+            assert_matches_router(&t, &wants, &cut, |from, to| {
+                reroutes
+                    .path(from, to)
+                    .unwrap_or_else(|| table.path(from, to))
+            });
+            (reroutes.routes.route_count(), reroutes.severed.len())
+        };
+        // A cut on a chain link severs every route across it.
+        let chain_link = t.link_between(router, metro).unwrap();
+        assert_eq!(reroute(HashSet::from([chain_link])), (0, 4));
+        // With metro—h1 cut, the metro's one exit is h2 and h2's is h1, so
+        // the chain runs on to h1, whose one exit is a stub.
+        let cut = HashSet::from([t.link_between(metro, h1).unwrap()]);
+        assert_eq!(
+            Chain::walk(&t, p, &[dc], &cut).nodes,
+            [p, router, metro, h2, h1]
+        );
+        assert_eq!(reroute(cut), (2, 0), "p -> dc and metro -> dc re-route");
+    }
+
+    #[test]
+    fn chains_stop_before_targets_stubs_and_branches() {
+        let (mut t, [p, router, metro, h1, h2, dc]) = probe_behind_a_fork();
         // A host whose only neighbour is the datacenter: a search from it
         // reaches the datacenter and stops there (stubs never transit).
         let behind_dc = t.add_node(NodeKind::ProbeHost, GeoPoint::new(0.1, 3.2), "XX");
         t.connect_with_delay(behind_dc, dc, LinkClass::Access, 1.0);
 
-        let chain = |targets: &[NodeId]| Chain::walk(&t, p, targets).nodes;
+        let none = HashSet::new();
+        let chain = |targets: &[NodeId]| Chain::walk(&t, p, targets, &none).nodes;
         assert_eq!(chain(&[dc]), [p, router, metro], "stops where it branches");
         assert_eq!(chain(&[dc, metro]), [p, router], "stops before a target");
         assert_eq!(chain(&[router, dc]), [p], "even the first step");
         assert_eq!(
-            Chain::walk(&t, behind_dc, &[metro]).nodes,
+            Chain::walk(&t, behind_dc, &[metro], &none).nodes,
             [behind_dc],
             "stub"
         );
@@ -1132,7 +1172,7 @@ mod tests {
             (metro, vec![p, dc]),
         ];
         let table = RouteTable::build(&t, &wants, 2);
-        assert_table_matches_router(&t, &wants, &table);
+        assert_matches_router(&t, &wants, &HashSet::new(), |from, to| table.path(from, to));
         assert!(
             table.path(behind_dc, metro).is_none(),
             "no transit through the stub"

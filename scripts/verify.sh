@@ -9,20 +9,26 @@
 #               whole-store grids (ping/TCP × churn × 1/2/8 threads and
 #               1/2/5/8 threads) that hold every entry point to run()'s
 #               store row for row, the campaign unit tests (credit
-#               settlement, durable runs, shard merges), the fault-plan
-#               unit tests (epochs, reroutes inside a cut window, cuts
-#               that disconnect), the fault router against one
-#               Router::with_disabled per epoch on random fleets under
-#               chaos and 24-cut plans, and the golden store digest of a
-#               chaos campaign whose cuts reroute sampled pairs — fast
-#               enough to run on every fault-model or round-loop change
+#               settlement, durable runs, shard merges), the retry
+#               policy's unit tests (the one attempt loop that campaign
+#               rounds and API creates share), the fault-plan unit tests
+#               (epochs, reroutes inside a cut window, cuts that
+#               disconnect), the route table's re-route around a cut on
+#               a chain link and around a cut that leaves a branch one
+#               exit, the fault router against one Router::with_disabled
+#               per epoch on random fleets under chaos and 24-cut plans,
+#               the golden store digest of a chaos campaign whose cuts
+#               reroute sampled pairs, and the API's route-body goldens
+#               (a chaos create with retries among them) — fast enough
+#               to run on every fault-model or round-loop change
 #   crash     — only the durability suite: the kill-at-any-round
 #               recovery sweeps (10 seeds × 3 kill rounds × 3 thread
-#               counts × 2 fault profiles), byte-level damage rejection,
-#               the journal unit tests (the takeover-base checkpoint and
-#               the rejected checkpoints among them), the slicing-by-8
-#               CRC against the byte-at-a-time oracle, the journal-bytes
-#               golden (fault-free and chaos × 1/2 threads × fsync
+#               counts × {fault-free, chaos, chaos with retries and
+#               refunds}), byte-level damage rejection, the journal
+#               unit tests (the takeover-base checkpoint and the rejected
+#               checkpoints among them), the slicing-by-8 CRC against
+#               the byte-at-a-time oracle, the journal-bytes golden
+#               (fault-free, chaos and TCP chaos × 1/2 threads × fsync
 #               on/off × complete and crashed after round 1), and the
 #               campaign durability tests (the checkpoint-cadence test
 #               pins that a cadence leaves the journal's bytes alone)
@@ -146,9 +152,12 @@ chaos)
     tests --test determinism campaign_is_bit_identical
     tests --test determinism parallel_execution
     tests -p shears-atlas campaign::tests::
+    tests -p shears-atlas recovery::
     tests -p shears-netsim fault::
+    tests -p shears-netsim routing::tests::reroutes_match_the_router_when_a_cut_severs_or_extends_a_chain
     tests --test proptests fault_router_matches_per_epoch_routers_under_generated_plans
     tests -p shears-atlas campaign::tests::chaos_cut_reroutes_match_their_golden_store_digest
+    tests -p shears-api service::tests::json_route_bodies_are_pinned
     ;;
 crash)
     echo "==> crash profile: kill-at-any-round durability sweep"

@@ -7,9 +7,9 @@
 //! profile. These sweeps pin that contract:
 //!
 //! * 10 seeds × 3 kill rounds × threads {1, 2, 8} × fault profiles
-//!   {none, chaos}, each crash + resume diffed bit-for-bit against the
-//!   clean run (and, fault-free, against the plain sequential
-//!   [`Campaign::run`]);
+//!   {none, chaos, chaos with retries and refunds}, each crash + resume
+//!   diffed bit-for-bit against the clean run (and, fault-free, against
+//!   the plain sequential [`Campaign::run`]);
 //! * byte-level damage — truncation at arbitrary offsets, single bit
 //!   flips — must surface as typed [`JournalError`]s or a safely
 //!   discarded torn tail, never a panic and never silently wrong data.
@@ -44,7 +44,7 @@ fn tiny_platform(seed: u64) -> Platform {
     })
 }
 
-fn sweep_cfg(seed: u64, chaos: bool) -> CampaignConfig {
+fn sweep_cfg(seed: u64, chaos: bool, recovery: RetryPolicy) -> CampaignConfig {
     CampaignConfig {
         rounds: ROUNDS,
         targets_per_probe: 1,
@@ -56,6 +56,7 @@ fn sweep_cfg(seed: u64, chaos: bool) -> CampaignConfig {
         } else {
             FaultConfig::none()
         },
+        recovery,
         ..CampaignConfig::quick()
     }
 }
@@ -81,20 +82,23 @@ fn assert_ledgers_match(clean: &CreditLedger, resumed: &CreditLedger, what: &str
     );
 }
 
-/// The full sweep for one fault profile. For each seed the clean
-/// reference runs once (durable, single-threaded — durable stores are
-/// thread-count invariant, which `kill_sweep` re-checks via the crashed
-/// runs at 1/2/8 workers).
-fn kill_sweep(chaos: bool) {
+/// The full sweep for one fault profile and recovery policy. For each
+/// seed the clean reference runs once (durable, single-threaded —
+/// durable stores are thread-count invariant, which `kill_sweep`
+/// re-checks via the crashed runs at 1/2/8 workers). Returns the clean
+/// runs' refunds, summed over the seeds.
+fn kill_sweep(chaos: bool, recovery: RetryPolicy) -> u64 {
+    let mut refunded = 0;
     for seed in SEEDS {
         let platform = tiny_platform(seed);
-        let cfg = sweep_cfg(seed, chaos);
+        let cfg = sweep_cfg(seed, chaos, recovery);
 
         let clean_path = tmp_journal("clean");
         let clean = Campaign::new(&platform, cfg)
             .run_durable(1, &DurabilityConfig::new(&clean_path))
             .expect("clean durable run");
         std::fs::remove_file(&clean_path).unwrap();
+        refunded += clean.ledger.refunded();
 
         if !chaos {
             // Fault-free, the durable barrier loop must agree with the
@@ -150,16 +154,27 @@ fn kill_sweep(chaos: bool) {
             }
         }
     }
+    refunded
 }
 
 #[test]
 fn kill_at_any_round_recovers_bit_identically_fault_free() {
-    kill_sweep(false);
+    kill_sweep(false, RetryPolicy::none());
 }
 
 #[test]
 fn kill_at_any_round_recovers_bit_identically_under_chaos() {
-    kill_sweep(true);
+    kill_sweep(true, RetryPolicy::none());
+}
+
+/// A resume restores the ledger's counters at a round boundary and
+/// re-runs only the later rounds, so no refund is paid twice: the
+/// resumed ledgers match the clean ones. The sweep pins that only if
+/// some clean run refunds.
+#[test]
+fn kill_at_any_round_recovers_bit_identically_under_chaos_with_refunds() {
+    let refunded = kill_sweep(true, RetryPolicy::atlas_default());
+    assert!(refunded > 0, "no clean run refunded a credit");
 }
 
 /// Byte-level damage never panics and never fabricates data: every
@@ -169,7 +184,7 @@ fn kill_at_any_round_recovers_bit_identically_under_chaos() {
 #[test]
 fn damaged_journals_fail_typed_never_panic() {
     let platform = tiny_platform(7);
-    let cfg = sweep_cfg(7, true);
+    let cfg = sweep_cfg(7, true, RetryPolicy::none());
     let path = tmp_journal("damage");
     let clean = Campaign::new(&platform, cfg)
         .run_durable(2, &DurabilityConfig::new(&path))

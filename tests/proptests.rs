@@ -323,53 +323,6 @@ fn credit_ledger_conserves_under_debit_refund_boost() {
     );
 }
 
-#[test]
-fn refund_once_is_idempotent_per_measurement_round() {
-    use latency_shears::atlas::CreditLedger;
-    use std::collections::HashSet;
-
-    for_all(
-        256,
-        12,
-        |rng| {
-            let initial = 100_000 + rng.below(900_000) as u64;
-            let ops: Vec<(u64, u32, u64)> = (0..1 + rng.below(59))
-                .map(|_| {
-                    (
-                        rng.below(8) as u64,
-                        rng.below(4) as u32,
-                        1 + rng.below(499) as u64,
-                    )
-                })
-                .collect();
-            (initial, ops)
-        },
-        |(initial, ops)| {
-            // The resume path replays refunds for rounds the journal already
-            // settled; a replayed (measurement, round) key must never mint.
-            let mut ledger = CreditLedger::new(initial);
-            let mut seen: HashSet<(u64, u32)> = HashSet::new();
-            let mut expected_refunded = 0u64;
-            for &(measurement, round, amount) in &ops {
-                if ledger.debit(amount).is_err() {
-                    continue;
-                }
-                let got = ledger.refund_once(measurement, round, amount);
-                if seen.insert((measurement, round)) {
-                    assert_eq!(got, amount, "first refund pays in full");
-                    expected_refunded += amount;
-                } else {
-                    assert_eq!(got, 0, "replayed refund minted credits");
-                }
-                // Conserved at every step: refunds move spent back to
-                // balance, duplicates leave the debit in place.
-                assert_eq!(ledger.balance() + ledger.spent(), initial);
-            }
-            assert_eq!(ledger.refunded(), expected_refunded);
-        },
-    );
-}
-
 // Whole-platform route comparisons and crash-resume runs are expensive;
 // a handful of random worlds is plenty to catch a divergence.
 
@@ -515,10 +468,17 @@ fn durable_crash_resume_conserves_ledger_and_samples() {
                 targets_per_probe: 1,
                 adjacent_targets: 1,
                 credits: 10_000_000,
+                // Under chaos, retries and refunds too, so the ledger
+                // checks below see refunds.
                 faults: if chaos {
                     FaultConfig::chaos()
                 } else {
                     FaultConfig::none()
+                },
+                recovery: if chaos {
+                    RetryPolicy::atlas_default()
+                } else {
+                    RetryPolicy::none()
                 },
                 ..CampaignConfig::quick()
             };
