@@ -61,6 +61,6 @@ pub use journal::{JournalError, JournalHeader, JournalWriter, Replay, RoundMark}
 pub use measurement::MeasurementType;
 pub use platform::{Platform, PlatformConfig};
 pub use probe::{Probe, ProbeId};
-pub use recovery::{Measured, RetryPolicy, RetrySchedule};
+pub use recovery::{RetryPolicy, RetrySchedule};
 pub use store::{JsonlError, ResultStore, RttSample};
 pub use tags::TagFilter;
